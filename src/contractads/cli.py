@@ -313,6 +313,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_vertices < 1:
+        raise UsageError(f"--max-vertices must be a positive integer, got {args.max_vertices}")
     return _SUITES[args.suite](args.max_vertices)
 
 

@@ -26,6 +26,7 @@ from .series import (
     exp_series,
     log1p_series,
     pow_param_series,
+    power_combination,
     scaled_arcsinh_series,
     series_compose,
     series_reverse,
@@ -236,12 +237,5 @@ def _closed_real(tag: str, order: int) -> PowerSeries:
         return exp_series(scaled_arcsinh_series(t)) - PowerSeries.constant("t", order, one)
     # cycles: t - log(1 - L) - sum_k q^k L^(2k+1)/(2k+1)
     L = real_path_core(order)
-    atanh_scaled = PowerSeries.zeros("t", order)
-    power = L
-    LL = L * L
-    k = 0
-    while 2 * k + 1 <= order:
-        atanh_scaled = atanh_scaled + power.scale(QPoly.q(k) * Fraction(1, 2 * k + 1))
-        power = power * LL
-        k += 1
-    return t - log1p_series(-L) - atanh_scaled
+    odd = {2 * k + 1: L.const(QPoly.q(k) * Fraction(1, 2 * k + 1)) for k in range((order + 1) // 2)}
+    return t - log1p_series(-L) - power_combination(L, odd)

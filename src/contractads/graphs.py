@@ -599,6 +599,8 @@ def graph_from_graph6(s: str) -> Graph:
     if data[0] == 63:
         raise ValueError("graph6 strings with n >= 63 are not supported")
     n = data[0]
+    if n == 0:
+        raise ValueError("graph6 string encodes the graph with no vertices")
     bits = []
     for d in data[1:]:
         bits.extend((d >> shift) & 1 for shift in range(5, -1, -1))
@@ -612,4 +614,4 @@ def graph_from_graph6(s: str) -> Graph:
             if bits[k]:
                 edges.append((i, j))
             k += 1
-    return Graph(max(n, 1), edges)
+    return Graph(n, edges)

@@ -1,8 +1,17 @@
-"""Truncated univariate power series with QPoly coefficients.
+"""Truncated power series and the one series engine.
 
-A series carries its variable tag ('t' or 'z') and truncation order N; the
-coefficient array always has length N+1.  Binary operations take the minimum
-of the two orders, so precision loss is explicit and monotone.
+A PowerSeries is univariate with QPoly coefficients.  It carries its variable
+tag ('t' or 'z') and truncation order N; the coefficient array always has
+length N+1.  Binary operations take the minimum of the two orders, so
+precision loss is explicit and monotone.
+
+The series engine below (composition, reversion, powers and the exp / log1p
+/ pow_param / scaled-arcsinh expansions) is written once, for PowerSeries,
+YoungSeries and BiSeries (:mod:`.young`) alike.  Besides +, -, * and
+scale(scalar), each provides its truncation `bound` (a total degree),
+truncate(bound), constant_term(), const(value) and variable() (the series
+value and z of the same shape and bound), and z_slices(): {n: the z-free
+series multiplying z^n}, for a PowerSeries the constant series c_n.
 """
 
 from __future__ import annotations
@@ -37,21 +46,16 @@ class PowerSeries:
 
     @classmethod
     def zeros(cls, var: str, order: int) -> "PowerSeries":
-        return cls(var, order, [QPoly.zero()] * (order + 1))
+        return cls.from_terms(var, order, {})
 
     @classmethod
     def constant(cls, var: str, order: int, value) -> "PowerSeries":
-        coeffs = [QPoly.zero()] * (order + 1)
-        coeffs[0] = _coeff(value)
-        return cls(var, order, coeffs)
+        return cls.from_terms(var, order, {0: value})
 
     @classmethod
     def identity(cls, var: str, order: int) -> "PowerSeries":
         """The series t (or z)."""
-        coeffs = [QPoly.zero()] * (order + 1)
-        if order >= 1:
-            coeffs[1] = QPoly.one()
-        return cls(var, order, coeffs)
+        return cls.from_terms(var, order, {1: 1})
 
     @classmethod
     def from_terms(cls, var: str, order: int, terms: dict[int, QPoly | Scalar]) -> "PowerSeries":
@@ -72,6 +76,24 @@ class PowerSeries:
         if order >= self.order:
             return self
         return PowerSeries(self.var, order, self.coeffs[: order + 1])
+
+    # -- series-engine interface -------------------------------------------
+
+    @property
+    def bound(self) -> int:
+        return self.order
+
+    def const(self, value) -> "PowerSeries":
+        return PowerSeries.constant(self.var, self.order, value)
+
+    def variable(self) -> "PowerSeries":
+        return PowerSeries.identity(self.var, self.order)
+
+    def constant_term(self) -> QPoly:
+        return self.coeffs[0]
+
+    def z_slices(self) -> dict[int, "PowerSeries"]:
+        return {n: self.const(c) for n, c in enumerate(self.coeffs) if not c.is_zero()}
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -94,9 +116,7 @@ class PowerSeries:
         return PowerSeries(self.var, n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_var(other)
-        n = min(self.order, other.order)
-        return PowerSeries(self.var, n, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        return self + (-other)
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(self.var, self.order, [-c for c in self.coeffs])
@@ -161,36 +181,48 @@ class PowerSeries:
     __repr__ = __str__
 
 
-# -- composition and reversion ----------------------------------------------
+# -- the series engine (interface in the module docstring) --------------------
 
 
-def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """f(g) truncated at min(order(f), order(g)); g must have g(0) = 0."""
-    if not g.coeffs[0].is_zero():
-        raise ValueError("composition requires the inner series to have zero constant term")
-    n = min(f.order, g.order)
-    g = g.truncate(n)
-    # Horner evaluation keeps every intermediate truncated at order n.
-    result = PowerSeries.constant(g.var, n, f.coeffs[n])
-    for i in range(n - 1, -1, -1):
-        result = result * g + PowerSeries.constant(g.var, n, f.coeffs[i])
-    return result
+def series_powers(f, kmax: int) -> list:
+    """[1, f, f^2, ..., f^kmax]."""
+    out = [f.const(1)]
+    for _ in range(kmax):
+        out.append(out[-1] * f)
+    return out
 
 
-def series_reverse(f: PowerSeries) -> PowerSeries:
-    """Compositional inverse of f = t + O(t^2); verified on both sides."""
-    if not f.coeffs[0].is_zero():
-        raise ValueError("reversion requires zero constant term")
-    if f.order < 1 or f.coeffs[1] != QPoly.one():
-        raise ValueError("reversion requires linear coefficient exactly 1; normalise first")
-    n = f.order
-    t = PowerSeries.identity(f.var, n)
-    higher = f - t
-    g = t
-    for _ in range(n):
-        g = t - series_compose(higher, g)
-    ident = PowerSeries.identity(f.var, n)
-    if series_compose(f, g) != ident or series_compose(g, f) != ident:
+def power_combination(g, slices: dict, what: str = "a power combination"):
+    """sum_n slices[n] * g^n for z-free series slices[n].  g must have zero
+    constant term, so that the powers beyond the truncation bound vanish."""
+    if not g.constant_term().is_zero():
+        raise ValueError(f"{what} needs zero constant term")
+    acc = g.const(0)
+    powers = series_powers(g, max(slices, default=0))
+    for n, s in slices.items():
+        acc = acc + s * powers[n]
+    return acc
+
+
+def series_compose(f, g):
+    """f with g substituted for z, truncated at the smaller bound; g must have
+    zero constant term."""
+    d = min(f.bound, g.bound)
+    slices = {n: s for n, s in f.z_slices().items() if n <= d}
+    return power_combination(g.truncate(d), slices, "the inner series of a composition")
+
+
+def series_reverse(f):
+    """Compositional inverse in z of f = z + (degree >= 2); verified on both
+    sides."""
+    z = f.variable()
+    if f.bound < 1 or f.truncate(1) != z.truncate(1):
+        raise ValueError("reversion requires the degree-1 part to be exactly z; normalise first")
+    higher = f - z
+    g = z
+    for _ in range(f.bound):
+        g = z - series_compose(higher, g)
+    if series_compose(f, g) != z or series_compose(g, f) != z:
         raise AssertionError("internal reversion check failed")
     return g
 
@@ -198,44 +230,22 @@ def series_reverse(f: PowerSeries) -> PowerSeries:
 # -- transcendental expansions ------------------------------------------------
 
 
-def _powers(f: PowerSeries, kmax: int) -> list[PowerSeries]:
-    out = [PowerSeries.constant(f.var, f.order, 1)]
-    for _ in range(kmax):
-        out.append(out[-1] * f)
-    return out
-
-
-def exp_series(f: PowerSeries) -> PowerSeries:
+def exp_series(f):
     """exp(f) for f with zero constant term."""
-    if not f.coeffs[0].is_zero():
-        raise ValueError("exp requires zero constant term")
-    pw = _powers(f, f.order)
-    acc = PowerSeries.zeros(f.var, f.order)
-    for k in range(f.order + 1):
-        acc = acc + pw[k].scale(Fraction(1, factorial(k)))
-    return acc
+    coefficients = {k: f.const(Fraction(1, factorial(k))) for k in range(f.bound + 1)}
+    return power_combination(f, coefficients, "exp")
 
 
-def log1p_series(f: PowerSeries) -> PowerSeries:
+def log1p_series(f):
     """log(1 + f) for f with zero constant term."""
-    if not f.coeffs[0].is_zero():
-        raise ValueError("log1p requires zero constant term")
-    pw = _powers(f, f.order)
-    acc = PowerSeries.zeros(f.var, f.order)
-    for k in range(1, f.order + 1):
-        acc = acc + pw[k].scale(Fraction((-1) ** (k - 1), k))
-    return acc
+    coefficients = {k: f.const(Fraction((-1) ** (k - 1), k)) for k in range(1, f.bound + 1)}
+    return power_combination(f, coefficients, "log1p")
 
 
-def pow_param_series(f: PowerSeries, alpha) -> PowerSeries:
+def pow_param_series(f, alpha):
     """(1 + f)**alpha via the parametric binomial series; alpha may be a QPoly."""
-    if not f.coeffs[0].is_zero():
-        raise ValueError("pow_param requires zero constant term")
-    pw = _powers(f, f.order)
-    acc = PowerSeries.zeros(f.var, f.order)
-    for k in range(f.order + 1):
-        acc = acc + pw[k].scale(binomial_param(alpha, k))
-    return acc
+    coefficients = {k: f.const(binomial_param(alpha, k)) for k in range(f.bound + 1)}
+    return power_combination(f, coefficients, "pow_param")
 
 
 def arcsinh_coefficient(k: int) -> Fraction:
@@ -243,21 +253,18 @@ def arcsinh_coefficient(k: int) -> Fraction:
     return Fraction((-1) ** k * factorial(2 * k), 4**k * factorial(k) ** 2 * (2 * k + 1))
 
 
-def scaled_arcsinh_series(f: PowerSeries) -> PowerSeries:
+def scaled_arcsinh_series(f):
     """(1/sqrt(q)) * arcsinh(sqrt(q) * f) as sum_k c_k q^k f^(2k+1).
 
     Only even powers of sqrt(q) appear, so coefficients stay in Q[q].
     """
-    if not f.coeffs[0].is_zero():
-        raise ValueError("scaled_arcsinh requires zero constant term")
-    pw = _powers(f, f.order)
-    acc = PowerSeries.zeros(f.var, f.order)
-    for k in range(0, (f.order - 1) // 2 + 1):
-        acc = acc + pw[2 * k + 1].scale(QPoly.q(k) * arcsinh_coefficient(k))
-    return acc
+    coefficients = {
+        2 * k + 1: f.const(QPoly.q(k) * arcsinh_coefficient(k)) for k in range((f.bound + 1) // 2)
+    }
+    return power_combination(f, coefficients, "scaled_arcsinh")
 
 
-def series_transcendental(kind: str, f: PowerSeries, alpha=None) -> PowerSeries:
+def series_transcendental(kind: str, f, alpha=None):
     """Dispatcher over {exp, log1p, pow_param, scaled_arcsinh}."""
     if kind == "exp":
         return exp_series(f)

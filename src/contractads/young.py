@@ -14,6 +14,11 @@ Composition in z turns the Schmitt product into functional composition when
 the right factor is connected; for a right factor g with g(P_1) = c != 1 the
 coloured-operad semantics also rescale the symmetric variables, which is what
 :meth:`YoungSeries.scale_x` provides.
+
+YoungSeries and its two-colour specialisation BiSeries share one sparse core
+and differ only in their key arithmetic.  Composition, reversion and the
+transcendental expansions are the single series engine of :mod:`.series`;
+the young_* names below are bindings of it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .qpoly import QPoly, binomial_param
+from .qpoly import QPoly
 from .symfunc import (
     Partition,
     monomial_product,
@@ -30,115 +35,167 @@ from .symfunc import (
     partition_factorial,
     partitions_of,
 )
-from .graphs import multipartite_graph, path_graph
+from .graphs import multipartite_graph
 from .graphic_functions import GraphicFunction
-from .series import arcsinh_coefficient
+from .series import (
+    _coeff,
+    exp_series,
+    log1p_series,
+    pow_param_series,
+    scaled_arcsinh_series,
+    series_compose,
+    series_reverse,
+)
 
 Key = tuple[int, Partition]
 
 
-class YoungSeries:
+class _SparseSeries:
+    """Dict from monomial keys to nonzero QPoly coefficients, truncated at
+    total degree `degree`.
+
+    Subclasses supply the key arithmetic: `_key` normalises a key (plain
+    tuples by default), `_weight` is its total degree, `_split_z` splits it
+    into the power of z and the z-free rest, `_ONE` and `_Z` are the keys of
+    1 and z, and `__mul__` multiplies.
+    """
+
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, degree: int, terms: Mapping[tuple, QPoly | int | Fraction] | None = None):
+        if degree < 1:
+            raise ValueError("degree bound must be >= 1")
+        t: dict[tuple, QPoly] = {}
+        for key, c in (terms or {}).items():
+            key, coeff = self._key(*key), _coeff(c)
+            if self._weight(key) <= degree and not coeff.is_zero():
+                t[key] = coeff
+        self.degree = degree
+        self.terms = t
+
+    @classmethod
+    def _make(cls, degree: int, terms: dict):
+        """Wrap terms that are already normalised, within the bound and nonzero."""
+        out = cls.__new__(cls)
+        out.degree, out.terms = degree, terms
+        return out
+
+    @staticmethod
+    def _key(*key) -> tuple:
+        return key
+
+    @classmethod
+    def constant(cls, degree: int, value):
+        return cls(degree, {cls._ONE: value})
+
+    @classmethod
+    def z(cls, degree: int):
+        return cls(degree, {cls._Z: QPoly.one()})
+
+    # -- inspection -----------------------------------------------------------
+
+    def coefficient(self, *key) -> QPoly:
+        return self.terms.get(self._key(*key), QPoly.zero())
+
+    def _upto(self, degree: int) -> dict:
+        return {k: c for k, c in self.terms.items() if self._weight(k) <= degree}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        d = min(self.degree, other.degree)
+        return self._upto(d) == other._upto(d)
+
+    def __hash__(self):
+        return hash((self.degree, frozenset(self.terms.items())))
+
+    # -- series-engine interface ------------------------------------------------
+
+    @property
+    def bound(self) -> int:
+        return self.degree
+
+    def const(self, value):
+        return self.constant(self.degree, value)
+
+    def variable(self):
+        return self.z(self.degree)
+
+    def constant_term(self) -> QPoly:
+        return self.terms.get(self._ONE, QPoly.zero())
+
+    def truncate(self, degree: int):
+        return self if degree >= self.degree else self._make(degree, self._upto(degree))
+
+    def z_slices(self) -> dict:
+        slices: dict[int, dict] = {}
+        for key, c in self.terms.items():
+            n, rest = self._split_z(key)
+            slices.setdefault(n, {})[rest] = c
+        return {n: self._make(self.degree, t) for n, t in slices.items()}
+
+    # -- arithmetic -------------------------------------------------------------
+
+    def __add__(self, other):
+        d = min(self.degree, other.degree)
+        t = self._upto(d)
+        for k, c in other._upto(d).items():
+            s = t.get(k, QPoly.zero()) + c
+            if s.is_zero():
+                t.pop(k, None)
+            else:
+                t[k] = s
+        return self._make(d, t)
+
+    def __neg__(self):
+        return self._make(self.degree, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, value):
+        c = _coeff(value)
+        # Q[q^(1/2)] has no zero divisors, so only c = 0 empties a term
+        return self._make(self.degree, {k: c * v for k, v in self.terms.items()} if c else {})
+
+
+class YoungSeries(_SparseSeries):
     """Element of Lambda_Q[[z]] truncated at total degree `degree`.
 
     Terms map (n, lambda) to the raw coefficient of z^n m_lambda; the
     factorial normalisations live in the accessors.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ()
+    _ONE: Key = (0, ())
+    _Z: Key = (1, ())
 
-    def __init__(self, degree: int, terms: Mapping[Key, QPoly | int | Fraction] | None = None):
-        if degree < 1:
-            raise ValueError("degree bound must be >= 1")
-        t: dict[Key, QPoly] = {}
-        if terms:
-            for (n, lam), c in terms.items():
-                lam = normalize_partition(lam)
-                if n < 0:
-                    raise ValueError("negative z-exponent")
-                if n + sum(lam) > degree:
-                    continue
-                coeff = c if isinstance(c, QPoly) else QPoly.const(c)
-                if not coeff.is_zero():
-                    t[(n, lam)] = coeff
-        self.degree = degree
-        self.terms = t
+    @staticmethod
+    def _key(n: int, lam) -> Key:
+        if n < 0:
+            raise ValueError("negative z-exponent")
+        return (n, normalize_partition(lam))
 
-    # -- constructors -------------------------------------------------------
+    @staticmethod
+    def _weight(key: Key) -> int:
+        return key[0] + sum(key[1])
 
-    @classmethod
-    def zero(cls, degree: int) -> "YoungSeries":
-        return cls(degree)
-
-    @classmethod
-    def z(cls, degree: int) -> "YoungSeries":
-        return cls(degree, {(1, ()): QPoly.one()})
-
-    @classmethod
-    def constant(cls, degree: int, value) -> "YoungSeries":
-        return cls(degree, {(0, ()): value})
-
-    # -- inspection -----------------------------------------------------------
-
-    def coefficient(self, n: int, lam) -> QPoly:
-        return self.terms.get((n, normalize_partition(lam)), QPoly.zero())
+    @staticmethod
+    def _split_z(key: Key) -> tuple[int, Key]:
+        return key[0], (0, key[1])
 
     def graphic_value(self, n: int, lam) -> QPoly:
         """Recover f(K_{(1^n) u lambda}) from the stored coefficient."""
         lam = normalize_partition(lam)
         return self.coefficient(n, lam) * (factorial(n) * partition_factorial(lam))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, YoungSeries):
-            return NotImplemented
-        d = min(self.degree, other.degree)
-        mine = {k: c for k, c in self.terms.items() if k[0] + sum(k[1]) <= d}
-        theirs = {k: c for k, c in other.terms.items() if k[0] + sum(k[1]) <= d}
-        return mine == theirs
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
-
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other: "YoungSeries") -> "YoungSeries":
-        d = min(self.degree, other.degree)
-        t: dict[Key, QPoly] = {}
-        for src in (self.terms, other.terms):
-            for k, c in src.items():
-                if k[0] + sum(k[1]) > d:
-                    continue
-                s = t.get(k, QPoly.zero()) + c
-                if s.is_zero():
-                    t.pop(k, None)
-                else:
-                    t[k] = s
-        out = YoungSeries.__new__(YoungSeries)
-        out.degree, out.terms = d, t
-        return out
-
-    def __neg__(self) -> "YoungSeries":
-        out = YoungSeries.__new__(YoungSeries)
-        out.degree = self.degree
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "YoungSeries") -> "YoungSeries":
-        return self + (-other)
-
-    def scale(self, value) -> "YoungSeries":
-        c = value if isinstance(value, QPoly) else QPoly.const(value)
-        return YoungSeries(self.degree, {k: c * v for k, v in self.terms.items()})
-
     def divexact(self, divisor) -> "YoungSeries":
-        d = divisor if isinstance(divisor, QPoly) else QPoly.const(divisor)
+        d = _coeff(divisor)
         return YoungSeries(self.degree, {k: v.divexact(d) for k, v in self.terms.items()})
 
     def scale_x(self, value) -> "YoungSeries":
         """Substitute x_i -> value * x_i: each m_lambda picks up value^|lambda|."""
-        c = value if isinstance(value, QPoly) else QPoly.const(value)
+        c = _coeff(value)
         return YoungSeries(
             self.degree, {(n, lam): (c ** sum(lam)) * v for (n, lam), v in self.terms.items()}
         )
@@ -164,9 +221,7 @@ class YoungSeries:
                         acc.pop(key, None)
                     else:
                         acc[key] = s
-        out = YoungSeries.__new__(YoungSeries)
-        out.degree, out.terms = d, acc
-        return out
+        return self._make(d, acc)
 
     def __str__(self):
         if not self.terms:
@@ -198,100 +253,19 @@ def young_of_graphic(f: GraphicFunction, degree: int) -> YoungSeries:
                 if n == 0 and len(lam) < 2:
                     continue  # K_(m) is disconnected, K_() is empty
                 parts = tuple(sorted(lam + (1,) * n, reverse=True))
-                value = f(multipartite_graph(parts))
-                if not isinstance(value, QPoly):
-                    value = QPoly.const(value)
                 weight = Fraction(1, factorial(n) * partition_factorial(lam))
-                terms[(n, lam)] = value * weight
+                terms[(n, lam)] = _coeff(f(multipartite_graph(parts))) * weight
     return YoungSeries(degree, terms)
 
 
-# -- composition and reversion ----------------------------------------------------
+# -- composition, reversion and transcendentals: the engine of .series ------------
 
-
-def young_compose(f: YoungSeries, g: YoungSeries) -> YoungSeries:
-    """Substitute g for z in f; g must have no pure-constant term."""
-    if not g.coefficient(0, ()).is_zero():
-        raise ValueError("composition requires zero constant term in the inner series")
-    d = min(f.degree, g.degree)
-    powers = [YoungSeries.constant(d, 1)]
-    for _ in range(d):
-        powers.append(powers[-1] * g)
-    acc = YoungSeries.zero(d)
-    for (n, lam), c in f.terms.items():
-        if n + sum(lam) > d:
-            continue
-        term = powers[n].scale(c) * YoungSeries(d, {(0, lam): 1})
-        acc = acc + term
-    return acc
-
-
-def young_reverse(f: YoungSeries) -> YoungSeries:
-    """Compositional inverse in z of f = z + (total degree >= 2); verified."""
-    z = YoungSeries.z(f.degree)
-    linear = {k: c for k, c in f.terms.items() if k[0] + sum(k[1]) == 1}
-    if linear != {(1, ()): QPoly.one()}:
-        raise ValueError("reversion requires the degree-1 part to be exactly z")
-    higher = f - z
-    g = z
-    for _ in range(f.degree):
-        g = z - young_compose(higher, g)
-    if young_compose(f, g) != z or young_compose(g, f) != z:
-        raise AssertionError("internal Young reversion check failed")
-    return g
-
-
-# -- transcendental expansions ------------------------------------------------------
-
-
-def _young_powers(f: YoungSeries, kmax: int) -> list[YoungSeries]:
-    out = [YoungSeries.constant(f.degree, 1)]
-    for _ in range(kmax):
-        out.append(out[-1] * f)
-    return out
-
-
-def _require_no_constant(f: YoungSeries, what: str):
-    if not f.coefficient(0, ()).is_zero():
-        raise ValueError(f"{what} requires zero constant term")
-
-
-def young_exp(f: YoungSeries) -> YoungSeries:
-    _require_no_constant(f, "exp")
-    pw = _young_powers(f, f.degree)
-    acc = YoungSeries.zero(f.degree)
-    for k in range(f.degree + 1):
-        acc = acc + pw[k].scale(Fraction(1, factorial(k)))
-    return acc
-
-
-def young_log1p(f: YoungSeries) -> YoungSeries:
-    _require_no_constant(f, "log1p")
-    pw = _young_powers(f, f.degree)
-    acc = YoungSeries.zero(f.degree)
-    for k in range(1, f.degree + 1):
-        acc = acc + pw[k].scale(Fraction((-1) ** (k - 1), k))
-    return acc
-
-
-def young_pow_param(f: YoungSeries, alpha) -> YoungSeries:
-    """(1 + f)**alpha with a parametric exponent."""
-    _require_no_constant(f, "pow_param")
-    pw = _young_powers(f, f.degree)
-    acc = YoungSeries.zero(f.degree)
-    for k in range(f.degree + 1):
-        acc = acc + pw[k].scale(binomial_param(alpha, k))
-    return acc
-
-
-def young_scaled_arcsinh(f: YoungSeries) -> YoungSeries:
-    """(1/sqrt(q)) arcsinh(sqrt(q) f) = sum_k c_k q^k f^(2k+1); stays in Q[q]."""
-    _require_no_constant(f, "scaled_arcsinh")
-    pw = _young_powers(f, f.degree)
-    acc = YoungSeries.zero(f.degree)
-    for k in range(0, (f.degree - 1) // 2 + 1):
-        acc = acc + pw[2 * k + 1].scale(QPoly.q(k) * arcsinh_coefficient(k))
-    return acc
+young_compose = series_compose
+young_reverse = series_reverse
+young_exp = exp_series
+young_log1p = log1p_series
+young_pow_param = pow_param_series
+young_scaled_arcsinh = scaled_arcsinh_series
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -328,12 +302,9 @@ def young_closed_form(target: str, degree: int) -> YoungSeries:
     target = target.lower()
     q = QPoly.q()
     if target == "chromatic":
-        base = young_pow_param(YoungSeries.z(degree) + power_sum_exp_tail(degree), q)
-        correction = YoungSeries(
-            degree,
-            {(0, (n,)): QPoly.q(n) * Fraction(1, factorial(n)) for n in range(1, degree + 1)},
-        )
-        return base - YoungSeries.constant(degree, 1) - correction
+        tail = power_sum_exp_tail(degree)
+        base = pow_param_series(YoungSeries.z(degree) + tail, q)
+        return base - YoungSeries.constant(degree, 1) - tail.scale_x(q)
     if target == "modular_complex_g":
         chrom = young_closed_form("chromatic", degree)
         numerator = YoungSeries.z(degree).scale(q * q) - chrom
@@ -341,7 +312,7 @@ def young_closed_form(target: str, degree: int) -> YoungSeries:
     if target == "modular_real":
         f = YoungSeries.z(degree) + sinh_tail(degree)
         return (
-            young_exp(young_scaled_arcsinh(f))
+            exp_series(scaled_arcsinh_series(f))
             - YoungSeries.constant(degree, 1)
             - power_sum_exp_tail(degree)
         )
@@ -351,63 +322,24 @@ def young_closed_form(target: str, degree: int) -> YoungSeries:
 # -- two-colour specialisation -----------------------------------------------------
 
 
-class BiSeries:
+class BiSeries(_SparseSeries):
     """Series in (t, z) truncated by total degree; values QPoly.
 
     This is the x_1 = t, x_2 = x_3 = ... = 0 specialisation target: only
-    m_(m) = p_m survive, as t^m.
+    m_(m) = p_m survive, as t^m.  Keys are (t-exponent, z-exponent).
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ()
+    _ONE = (0, 0)
+    _Z = (0, 1)
 
-    def __init__(self, degree: int, terms: Mapping[tuple[int, int], QPoly | int | Fraction] | None = None):
-        t: dict[tuple[int, int], QPoly] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i + j > degree:
-                    continue
-                coeff = c if isinstance(c, QPoly) else QPoly.const(c)
-                if not coeff.is_zero():
-                    t[(i, j)] = coeff
-        self.degree = degree
-        self.terms = t
+    @staticmethod
+    def _weight(key: tuple[int, int]) -> int:
+        return key[0] + key[1]
 
-    @classmethod
-    def z(cls, degree: int) -> "BiSeries":
-        return cls(degree, {(0, 1): QPoly.one()})
-
-    def coefficient(self, t_exp: int, z_exp: int) -> QPoly:
-        return self.terms.get((t_exp, z_exp), QPoly.zero())
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        d = min(self.degree, other.degree)
-        mine = {k: c for k, c in self.terms.items() if k[0] + k[1] <= d}
-        theirs = {k: c for k, c in other.terms.items() if k[0] + k[1] <= d}
-        return mine == theirs
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        d = min(self.degree, other.degree)
-        t = dict()
-        for src in (self.terms, other.terms):
-            for k, c in src.items():
-                s = t.get(k, QPoly.zero()) + c
-                if s.is_zero():
-                    t.pop(k, None)
-                else:
-                    t[k] = s
-        return BiSeries(d, t)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(self.degree, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def scale(self, value) -> "BiSeries":
-        c = value if isinstance(value, QPoly) else QPoly.const(value)
-        return BiSeries(self.degree, {k: c * v for k, v in self.terms.items()})
+    @staticmethod
+    def _split_z(key: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+        return key[1], (key[0], 0)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         d = min(self.degree, other.degree)
@@ -422,36 +354,10 @@ class BiSeries:
                     acc.pop((i, j), None)
                 else:
                     acc[(i, j)] = s
-        return BiSeries(d, acc)
+        return self._make(d, acc)
 
-    def compose_z(self, inner: "BiSeries") -> "BiSeries":
-        """Substitute inner for z."""
-        if not inner.coefficient(0, 0).is_zero():
-            raise ValueError("inner series needs zero constant term")
-        d = min(self.degree, inner.degree)
-        powers = [BiSeries(d, {(0, 0): QPoly.one()})]
-        for _ in range(d):
-            powers.append(powers[-1] * inner)
-        acc = BiSeries(d)
-        for (i, j), c in self.terms.items():
-            if i + j > d:
-                continue
-            acc = acc + powers[j].scale(c) * BiSeries(d, {(i, 0): QPoly.one()})
-        return acc
-
-    def reverse_z(self) -> "BiSeries":
-        """Compositional inverse in z; requires degree-1 part exactly z."""
-        linear = {k: c for k, c in self.terms.items() if k[0] + k[1] == 1}
-        if linear != {(0, 1): QPoly.one()}:
-            raise ValueError("reversion in z requires the degree-1 part to be exactly z")
-        z = BiSeries.z(self.degree)
-        higher = self - z
-        g = z
-        for _ in range(self.degree):
-            g = z - higher.compose_z(g)
-        if self.compose_z(g) != z or g.compose_z(self) != z:
-            raise AssertionError("internal bivariate reversion check failed")
-        return g
+    compose_z = series_compose  # substitute the argument for z
+    reverse_z = series_reverse  # compositional inverse in z
 
 
 def two_color_specialize(f: YoungSeries) -> BiSeries:

@@ -109,6 +109,21 @@ def test_graph6_source(capsys):
     assert out.strip() == "2"  # mu(K_3) = 2 in absolute value... sign included
 
 
+def test_graph6_without_vertices_is_rejected(capsys):
+    code, out, err = run(capsys, "hilbert", "--target", "complex", "--graph6", "?")
+    assert code == 2
+    assert out == ""
+    assert "no vertices" in err
+
+
+def test_verify_rejects_non_positive_max_vertices(capsys):
+    for bound in ("-3", "0"):
+        code, out, err = run(capsys, "verify", "--suite", "koszul", "--max-vertices", bound)
+        assert code == 2
+        assert out == ""
+        assert "--max-vertices" in err
+
+
 def test_json_polynomial_roundtrip():
     p = QPoly({0: 1, 2: -5, 3: 7})
     assert qpoly_from_json(json.loads(json.dumps(qpoly_to_json(p)))) == p

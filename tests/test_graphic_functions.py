@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +283,35 @@ def test_memo_cap_env(monkeypatch):
     assert f(path_graph(2)) == 2
     assert f(path_graph(3)) == 3
     assert len(f._memo) == 1
+
+
+_WRONG_CHROMATIC = """
+import sys
+import contractads.graphic_functions as gf
+from contractads.graphs import complete_graph
+from contractads.qpoly import QPoly
+
+print("optimize", sys.flags.optimize)
+gf.chromatic_polynomial = lambda g: QPoly.zero()
+for name, build in (("chromatic", gf.chromatic_gf), ("gerst", gf.gerst_hilbert_gf)):
+    try:
+        build()(complete_graph(3))
+    except AssertionError:
+        print(name, "raised")
+    else:
+        print(name, "returned")
+"""
+
+
+@pytest.mark.parametrize("optimize", [0, 1])
+def test_identity_checks_survive_python_O(optimize):
+    # A fresh process per run: the shared memo would answer K_3 from a value
+    # checked earlier in the session instead of recomputing it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _WRONG_CHROMATIC], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == [f"optimize {optimize}", "chromatic raised", "gerst raised"]

@@ -15,6 +15,15 @@ from contractads.graphic_functions import (
     wonderful_complex_gf,
     wonderful_real_gf,
 )
+from contractads.series import (
+    PowerSeries,
+    exp_series,
+    log1p_series,
+    pow_param_series,
+    scaled_arcsinh_series,
+    series_compose,
+    series_reverse,
+)
 from contractads.symfunc import partitions_of
 from contractads.young import (
     BiSeries,
@@ -173,3 +182,31 @@ def test_coefficient_extraction_duality():
             for lam in partitions_of(total):
                 parts = tuple(sorted(lam + (1,) * n, reverse=True))
                 assert F.graphic_value(n, lam) == f(multipartite_graph(parts)), (n, lam)
+
+
+# -- the three series types against each other -------------------------------------------
+
+
+def z_line(f: YoungSeries) -> PowerSeries:
+    """x_i = 0: only the m_() coefficients survive, as a series in z."""
+    return PowerSeries.from_terms("z", f.degree, {n: c for (n, lam), c in f.terms.items() if not lam})
+
+
+UNARY = {
+    "reverse": series_reverse,
+    "exp": exp_series,
+    "log1p": log1p_series,
+    "pow_param(q)": lambda f: pow_param_series(f, q),
+    "scaled_arcsinh": scaled_arcsinh_series,
+}
+
+
+@pytest.mark.parametrize("specialize", [z_line, two_color_specialize], ids=["x=0", "x1=t"])
+def test_specialisations_commute_with_the_series_engine(specialize):
+    G = young_closed_form("modular_complex_G", D)
+    F = young_of_graphic(wonderful_complex_gf(), D)
+    for name, (a, b) in {"G o F": (G, F), "F o G": (F, G)}.items():
+        assert specialize(series_compose(a, b)) == series_compose(specialize(a), specialize(b)), name
+    for fname, f in {"G": G, "F": F}.items():
+        for name, op in UNARY.items():
+            assert specialize(op(f)) == op(specialize(f)), (name, fname)
