@@ -70,6 +70,7 @@ from .trees import (
     gchyper_normal_counts,
     gclie_normal_count,
     nested_set_count,
+    oracle_witness,
     stable_tree_count,
 )
 

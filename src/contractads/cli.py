@@ -27,6 +27,7 @@ from fractions import Fraction
 from .qpoly import QPoly
 from .series import PowerSeries
 from .graphs import (
+    DEFAULT_CAPS,
     Graph,
     canonical_key,
     connected_graphs_upto,
@@ -247,6 +248,12 @@ def _suite_chromatic(max_vertices: int) -> int:
 
 
 def _suite_oracle(max_vertices: int) -> int:
+    # refuse before the labelled-graph sweep, which is 2^C(n,2) graphs long
+    cap = DEFAULT_CAPS.tree_max_vertices
+    if max_vertices > cap:
+        raise UsageError(
+            f"the oracle suite is capped at --max-vertices {cap} (tree enumeration), got {max_vertices}"
+        )
     hyper = hyper_weighted_gf()
     grav = grav_weighted_gf()
     mob = mobius_gf()

@@ -102,7 +102,9 @@ class PowerSeries:
         return self.var == other.var and self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
     def __hash__(self):
-        return hash((self.var, self.order, self.coeffs))
+        # == compares up to the smaller order, so hash only what every order
+        # (>= 0) keeps: the constant term
+        return hash((self.var, self.coeffs[0]))
 
     def _check_var(self, other: "PowerSeries"):
         if self.var != other.var:

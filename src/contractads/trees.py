@@ -19,12 +19,26 @@ always span (rewriting by the relations), so any count is an overcount.
 When no explicit ordering is passed, the counting operations evaluate a
 deterministic ensemble of search orders under both conventions and keep the
 smallest count, which is labelling-invariant and attains the true dimension
-on every connected graph with at most 6 vertices.
+on every connected graph with at most 6 vertices.  `oracle_witness` names the
+order and convention that attained it.
+
+Every normality condition is local: it reads one internal vertex, the leaf
+masks of its children and the leaf masks of its grandchildren.  So the
+kernel stores each tree of a (graph, binary?) pair once, as the tuple of
+ids of its interned internal vertices ("node patterns"), together with the
+set of trees containing each pattern as a bitset (a Python int).  For one
+ordering it checks every distinct pattern once, under both conventions,
+against the per-graph table `tube[mask]` and the per-ordering table
+`min_rank[mask]`, ORs together the tree sets of the failing patterns, and
+reads each graded count off as a popcount.  The explicit-order path and the
+ensemble share this kernel.  `AdmissibleTree` objects are built only on
+demand.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import product
+from typing import Callable, Iterator, Sequence
 
 from .graphs import (
     DEFAULT_CAPS,
@@ -41,23 +55,30 @@ from .graphic_functions import gerst_total_dim
 
 class AdmissibleTree:
     """Rooted tree with leaf labels.  Children are stored sorted by minimal
-    leaf label; rank-dependent orderings are recomputed by the normality
-    checks."""
+    leaf label; `mask` is the bitmask of the leaf set."""
 
-    __slots__ = ("children", "leaf", "leaves", "min_leaf")
+    __slots__ = ("children", "leaf", "mask")
 
     def __init__(self, leaf: int | None = None, children: Sequence["AdmissibleTree"] = ()):
         if leaf is not None:
             self.leaf = leaf
             self.children = ()
-            self.leaves = frozenset([leaf])
-            self.min_leaf = leaf
+            self.mask = 1 << leaf
         else:
-            kids = sorted(children, key=lambda t: t.min_leaf)
             self.leaf = None
-            self.children = tuple(kids)
-            self.leaves = frozenset().union(*(t.leaves for t in kids))
-            self.min_leaf = kids[0].min_leaf
+            self.children = tuple(sorted(children, key=lambda t: t.mask & -t.mask))
+            mask = 0
+            for t in self.children:
+                mask |= t.mask
+            self.mask = mask
+
+    @property
+    def leaves(self) -> frozenset[int]:
+        return _mask_to_set(self.mask)
+
+    @property
+    def min_leaf(self) -> int:
+        return (self.mask & -self.mask).bit_length() - 1
 
     def is_leaf(self) -> bool:
         return self.leaf is not None
@@ -96,6 +117,18 @@ def _rank_array(g: Graph, order: Sequence[int]) -> list[int]:
     for r, v in enumerate(order):
         rank[v] = r
     return rank
+
+
+def _min_ranks(rank: list[int]) -> list[int]:
+    """min_rank[mask] for every mask, by peeling off the lowest bit; entry 0
+    is len(rank), above every rank."""
+    table = [len(rank)] * (1 << len(rank))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        r = rank[low.bit_length() - 1]
+        rest = table[mask ^ low]
+        table[mask] = r if r < rest else rest
+    return table
 
 
 # -- search orders -------------------------------------------------------------
@@ -144,56 +177,102 @@ def search_orders(g: Graph) -> list[list[int]]:
 
 # -- enumeration ------------------------------------------------------------------
 
-
-def _stable_trees(g: Graph, mask: int) -> Iterator[AdmissibleTree]:
-    verts = _mask_to_set(mask)
-    if len(verts) == 1:
-        yield AdmissibleTree(leaf=next(iter(verts)))
-        return
-    for blocks in _partition_masks(g, mask, False):
-        if len(blocks) == 1:
-            continue  # the root needs at least two children
-        options = [list(_stable_trees(g, b)) for b in blocks]
-        yield from _graft(options, 0, [])
+# A node pattern is an internal vertex seen from its parent's side: the tuple
+# of (child mask, tuple of that child's children masks), children sorted by
+# minimal leaf label.  A leaf child has no children masks.
+_Node = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _graft(options, i, acc) -> Iterator[AdmissibleTree]:
-    if i == len(options):
-        yield AdmissibleTree(children=list(acc))
-        return
-    for sub in options[i]:
-        acc.append(sub)
-        yield from _graft(options, i + 1, acc)
-        acc.pop()
+class _TreeStore:
+    """All stable (or all binary) admissible trees of one graph, each stored
+    once as the tuple of its node-pattern ids in preorder.
+
+    `containing[p]` and `grades[r]` are bitsets over tree indices: the trees
+    holding pattern p, and the trees with r internal vertices.  `tube[mask]`
+    says whether the mask induces a connected subgraph."""
+
+    __slots__ = ("full", "nodes", "trees", "containing", "grades", "tube")
+
+    def __init__(self, g: Graph, binary: bool):
+        ids: dict[_Node, int] = {}
+        self.nodes: list[_Node] = []
+        memo: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+
+        def grow(blocks: tuple[int, ...], options) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+            for subs in product(*options):
+                node = tuple((b, kids) for b, (kids, _) in zip(blocks, subs))
+                p = ids.get(node)
+                if p is None:
+                    p = ids[node] = len(self.nodes)
+                    self.nodes.append(node)
+                below = (p,)
+                for _, sub_ids in subs:
+                    below += sub_ids
+                yield blocks, below
+
+        def subtrees(mask: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+            # each subtree is (its root's children masks, its pattern ids)
+            found = memo.get(mask)
+            if found is not None:
+                return found
+            found = []
+            if mask & (mask - 1) == 0:
+                found.append(((), ()))
+            elif binary:
+                v = (mask & -mask).bit_length() - 1
+                for left in connected_subset_masks(g, mask, v):
+                    right = mask & ~left
+                    if right == 0 or not g.subset_connected(right):
+                        continue
+                    found.extend(grow((left, right), (subtrees(left), subtrees(right))))
+            else:
+                for blocks in _partition_masks(g, mask, False):
+                    if len(blocks) > 1:  # the root needs at least two children
+                        found.extend(grow(blocks, [subtrees(b) for b in blocks]))
+            memo[mask] = found
+            return found
+
+        self.full = g.full_mask()
+        self.trees = [tree_ids for _, tree_ids in subtrees(self.full)]
+        members: list[list[int]] = [[] for _ in self.nodes]
+        by_grade: list[list[int]] = [[] for _ in range(g.n)]
+        for t, tree_ids in enumerate(self.trees):
+            by_grade[len(tree_ids)].append(t)
+            for p in tree_ids:
+                members[p].append(t)
+        self.containing = [self._bitset(ts) for ts in members]
+        self.grades = [self._bitset(ts) for ts in by_grade]
+        self.tube = [g.subset_connected(mask) for mask in range(self.full + 1)]
+
+    def _bitset(self, indices: list[int]) -> int:
+        bits = bytearray((len(self.trees) >> 3) + 1)
+        for t in indices:
+            bits[t >> 3] |= 1 << (t & 7)
+        return int.from_bytes(bits, "little")
+
+    def tree(self, t: int) -> AdmissibleTree:
+        """Tree number t, rebuilt from its preorder pattern ids."""
+        nodes = self.nodes
+        it = iter(self.trees[t])
+
+        def build(mask: int, internal: bool) -> AdmissibleTree:
+            if not internal:
+                return AdmissibleTree(leaf=mask.bit_length() - 1)
+            return AdmissibleTree(children=[build(c, bool(kids)) for c, kids in nodes[next(it)]])
+
+        return build(self.full, bool(self.trees[t]))
 
 
-def _binary_trees(g: Graph, mask: int) -> Iterator[AdmissibleTree]:
-    verts = _mask_to_set(mask)
-    if len(verts) == 1:
-        yield AdmissibleTree(leaf=next(iter(verts)))
-        return
-    v = (mask & -mask).bit_length() - 1
-    for left in connected_subset_masks(g, mask, v):
-        right = mask & ~left
-        if right == 0 or not g.subset_connected(right):
-            continue
-        for lt in _binary_trees(g, left):
-            for rt in _binary_trees(g, right):
-                yield AdmissibleTree(children=[lt, rt])
+_tree_cache: dict[tuple, _TreeStore] = {}
 
 
-_tree_cache: dict[tuple, list[AdmissibleTree]] = {}
-
-
-def _cached_trees(g: Graph, binary: bool, caps: EnumerationCaps) -> list[AdmissibleTree]:
+def _tree_store(g: Graph, binary: bool, caps: EnumerationCaps) -> _TreeStore:
     _check_cap(g, caps)
     key = (g.n, g.edges, binary)
-    trees = _tree_cache.get(key)
-    if trees is None:
-        gen = _binary_trees(g, g.full_mask()) if binary else _stable_trees(g, g.full_mask())
-        trees = list(gen)
-        _tree_cache[key] = trees
-    return trees
+    store = _tree_cache.get(key)
+    if store is None:
+        store = _tree_cache[key] = _TreeStore(g, binary)
+    return store
 
 
 def enumerate_admissible_trees(
@@ -210,58 +289,50 @@ def enumerate_admissible_trees(
             "non-stable admissible trees form an infinite set (unary chains); "
             "only the stable enumeration is supported"
         )
-    return list(_cached_trees(g, binary=False, caps=caps))
+    store = _tree_store(g, False, caps)
+    return [store.tree(t) for t in range(len(store.trees))]
 
 
 def enumerate_binary_trees(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> list[AdmissibleTree]:
-    return list(_cached_trees(g, binary=True, caps=caps))
+    store = _tree_store(g, True, caps)
+    return [store.tree(t) for t in range(len(store.trees))]
 
 
 def stable_tree_count(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> int:
-    return len(_cached_trees(g, binary=False, caps=caps))
+    return len(_tree_store(g, False, caps).trees)
 
 
-# -- normality checks -----------------------------------------------------------------
+# -- normality rules ------------------------------------------------------------------
+#
+# Each rule reads one node pattern, the graph's tube table and an ordering's
+# min_rank table, and returns which conventions the pattern breaks: bit 0 set
+# when it breaks "min", bit 1 when it breaks "max".  A tree is normal under a
+# convention when none of its patterns breaks it.  Distinct cells have
+# distinct minimal ranks, so rank comparisons never tie.
+
+_MIN_FAILS, _MAX_FAILS, _BOTH_FAIL = 1, 2, 3
 
 
-def _is_tube(g: Graph, vertices: frozenset[int]) -> bool:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return g.subset_connected(mask)
+def _lie_fails(node: _Node, tube: list[bool], rank: list[int]) -> int:
+    """Binary bracket: in every sub-pattern b(b(L1, L2), L3) of the shuffle
+    presentation, L1 u L3 must be a tube and min L2 > min L3 (the "min"
+    convention; "max" reverses the inequality).  Equivalently, the inner
+    pair must avoid the edge joining the minimal cell of the contracted
+    pattern graph to its minimal (resp. maximal) neighbour."""
+    (first, inner), (second, other) = node
+    if rank[second] < rank[first]:
+        first, inner, second = second, other, first
+    if not inner:
+        return 0
+    l1, l2 = inner
+    if rank[l2] < rank[l1]:
+        l1, l2 = l2, l1
+    if not tube[l1 | second]:
+        return _BOTH_FAIL
+    return _MIN_FAILS if rank[l2] < rank[second] else _MAX_FAILS
 
 
-def _min_rank(cell: AdmissibleTree, rank: list[int]) -> int:
-    return min(rank[v] for v in cell.leaves)
-
-
-def _sorted_children(node: AdmissibleTree, rank: list[int]) -> list[AdmissibleTree]:
-    return sorted(node.children, key=lambda t: _min_rank(t, rank))
-
-
-def _lie_tree_normal(g: Graph, tree: AdmissibleTree, rank: list[int], maxnbr: bool = False) -> bool:
-    """Normality for the binary bracket: in every sub-pattern
-    b(b(L1, L2), L3) of the shuffle presentation, L1 u L3 must be a tube and
-    min L2 > min L3 (the "min" convention; the "max" convention reverses the
-    inequality).  Equivalently, the inner pair must avoid the edge joining
-    the minimal cell of the contracted pattern graph to its minimal
-    (resp. maximal) neighbour."""
-    for node in tree.internal_nodes():
-        first, second = _sorted_children(node, rank)
-        if first.is_leaf():
-            continue
-        l1, l2 = _sorted_children(first, rank)
-        if not _is_tube(g, l1.leaves | second.leaves):
-            return False
-        if maxnbr:
-            if _min_rank(second, rank) <= _min_rank(l2, rank):
-                return False
-        elif _min_rank(l2, rank) <= _min_rank(second, rank):
-            return False
-    return True
-
-
-def _hyper_tree_normal(g: Graph, tree: AdmissibleTree, rank: list[int], maxnbr: bool = False) -> bool:
+def _hyper_fails(node: _Node, tube: list[bool], rank: list[int]) -> int:
     """Monomial-basis condition: for every 2-subtree whose top vertex w is a
     binary internal child of v with child subtrees tau1, tau2 and siblings
     tau_i (i >= 3):
@@ -270,77 +341,127 @@ def _hyper_tree_normal(g: Graph, tree: AdmissibleTree, rank: list[int], maxnbr: 
       (ii) if L(tau_i) u L(tau_1) is a tube then min L(tau_i) > min L(tau_2)
            ("min" convention; "max" reverses the inequality in (ii)).
     """
-    for v in tree.internal_nodes():
-        for w in v.children:
-            if w.is_leaf() or w.arity() != 2:
+    verdict = 0
+    for w, kids in node:
+        if len(kids) != 2:
+            continue
+        tau1, tau2 = kids
+        r1, r2 = rank[tau1], rank[tau2]
+        if r2 < r1:
+            tau1, r1, r2 = tau2, r2, r1
+        for sibling, _ in node:
+            if sibling == w:
                 continue
-            tau1, tau2 = _sorted_children(w, rank)
-            r1 = _min_rank(tau1, rank)
-            r2 = _min_rank(tau2, rank)
-            for sibling in v.children:
-                if sibling is w:
-                    continue
-                rs = _min_rank(sibling, rank)
-                if rs < r1:
-                    return False
-                bad = rs > r2 if maxnbr else rs < r2
-                if bad and _is_tube(g, sibling.leaves | tau1.leaves):
-                    return False
-    return True
+            rs = rank[sibling]
+            if rs < r1:
+                return _BOTH_FAIL
+            if tube[sibling | tau1]:
+                verdict |= _MIN_FAILS if rs < r2 else _MAX_FAILS
+    return verdict
 
 
-def _grav_tree_normal(g: Graph, tree: AdmissibleTree, rank: list[int], maxnbr: bool = False) -> bool:
+def _grav_fails(node: _Node, tube: list[bool], rank: list[int]) -> int:
     """Gravity normality: all non-root internal vertices binary, and every
     binary 2-subtree avoids the distinguished edge of its contracted pattern
     graph (minimal cell joined to its minimal or maximal neighbour, by
-    convention)."""
-    for v in tree.internal_nodes():
-        for w in v.children:
-            if w.is_leaf():
-                continue
-            if w.arity() != 2:
-                return False
-            tau1, tau2 = _sorted_children(w, rank)
-            cells = [tau1, tau2] + [s for s in v.children if s is not w]
-            cells.sort(key=lambda t: _min_rank(t, rank))
-            a = cells[0]
-            neighbour_ranks = [
-                _min_rank(c, rank) for c in cells[1:] if _is_tube(g, c.leaves | a.leaves)
-            ]
-            if not neighbour_ranks:
+    convention).
+
+    The cells of the pattern below a binary child w = (a, b), a ranked
+    below b, are a, b and the siblings of w.  The distinguished edge can be {a, b}
+    only when a is the minimal cell; b is then always a neighbour of a, and
+    the edge is {a, b} when no sibling joined to a ranks below b ("min") or
+    above b ("max")."""
+    verdict = 0
+    for w, kids in node:
+        if not kids:
+            continue
+        if len(kids) != 2:
+            return _BOTH_FAIL
+        a, b = kids
+        if rank[b] < rank[a]:
+            a, b = b, a
+        siblings = [c for c, _ in node if c != w]
+        low = min(siblings, key=rank.__getitem__)
+        if rank[low] < rank[a]:
+            if not any(tube[c | low] for c in siblings + [a, b] if c != low):
                 raise AssertionError("contracted pattern graph must be connected")
-            chosen = max(neighbour_ranks) if maxnbr else min(neighbour_ranks)
-            pair = {_min_rank(a, rank), chosen}
-            if pair == {_min_rank(tau1, rank), _min_rank(tau2, rank)}:
-                return False
-    return True
+            continue
+        rb = rank[b]
+        fails = _BOTH_FAIL
+        for c in siblings:
+            if tube[c | a]:
+                fails &= _MAX_FAILS if rank[c] < rb else _MIN_FAILS
+        verdict |= fails
+    return verdict
+
+
+_Rule = Callable[[_Node, list, list], int]
+
+# kind -> (binary trees?, rule)
+_ORACLES: dict[str, tuple[bool, _Rule]] = {
+    "lie": (True, _lie_fails),
+    "hyper": (False, _hyper_fails),
+    "grav": (False, _grav_fails),
+}
 
 
 # -- counting oracles ---------------------------------------------------------------
 
 
-def _graded_counts(g, trees, rank, normal, maxnbr) -> list[int]:
-    counts = [0] * g.n
-    for tree in trees:
-        if normal(g, tree, rank, maxnbr):
-            counts[tree.internal_count()] += 1
-    return counts
+def _non_normal(store: _TreeStore, rank: list[int], rule: _Rule) -> tuple[int, int]:
+    """Bitsets of the trees that are not normal under the "min" and under
+    the "max" convention, for one min_rank table; each node pattern is
+    checked once."""
+    tube = store.tube
+    by_verdict = [0, 0, 0, 0]
+    for node, trees in zip(store.nodes, store.containing):
+        verdict = rule(node, tube, rank)
+        if verdict:
+            by_verdict[verdict] |= trees
+    both = by_verdict[_BOTH_FAIL]
+    return by_verdict[_MIN_FAILS] | both, by_verdict[_MAX_FAILS] | both
 
 
-def _best_counts(g, trees, order, normal) -> list[int]:
-    """Smallest graded count over the search-order ensemble and both leading
-    conventions; each candidate is a spanning set, so the minimum is the
-    tightest combinatorial upper bound for the dimensions."""
+def _graded_normal(store: _TreeStore, bad: int) -> list[int]:
+    return [(grade & ~bad).bit_count() for grade in store.grades]
+
+
+def _normal_counts(
+    g: Graph, kind: str, order: Sequence[int] | None, caps: EnumerationCaps
+) -> tuple[list[int], list[int], str]:
+    """(graded counts, order, convention).  An explicit order is evaluated
+    literally on g under the "min" convention.  Otherwise the ensemble runs
+    on the canonical representative and keeps the smallest total: each
+    candidate is a spanning set, so the minimum is the tightest
+    combinatorial upper bound for the dimensions.  Ties go to the first
+    candidate, search orders in sorted order and "min" before "max"."""
+    if kind not in _ORACLES:
+        raise ValueError(f"unknown oracle {kind!r}; expected one of {sorted(_ORACLES)}")
+    binary, rule = _ORACLES[kind]
     if order is not None:
-        return _graded_counts(g, trees, _rank_array(g, order), normal, False)
+        store = _tree_store(g, binary, caps)
+        bad_min, _ = _non_normal(store, _min_ranks(_rank_array(g, order)), rule)
+        return _graded_normal(store, bad_min), list(order), "min"
+    g = canonical_graph(g, caps)
+    store = _tree_store(g, binary, caps)
     best = None
     for candidate in search_orders(g):
-        rank = _rank_array(g, candidate)
-        for maxnbr in (False, True):
-            counts = _graded_counts(g, trees, rank, normal, maxnbr)
-            if best is None or sum(counts) < sum(best):
-                best = counts
+        bads = _non_normal(store, _min_ranks(_rank_array(g, candidate)), rule)
+        for convention, bad in zip(("min", "max"), bads):
+            counts = _graded_normal(store, bad)
+            if best is None or sum(counts) < sum(best[0]):
+                best = (counts, candidate, convention)
     return best
+
+
+def oracle_witness(g: Graph, kind: str, caps: EnumerationCaps = DEFAULT_CAPS) -> tuple[list[int], str]:
+    """The (search order, "min" | "max") at which the ensemble of `kind`
+    ("lie", "hyper" or "grav") attains its reported count.  The order lists
+    the vertices of `canonical_graph(g)`, where the ensemble runs; under the
+    "min" convention, passing it as `order=` on that graph reproduces the
+    counts."""
+    _, order, convention = _normal_counts(g, kind, None, caps)
+    return order, convention
 
 
 def gclie_normal_count(
@@ -352,12 +473,7 @@ def gclie_normal_count(
     With no explicit order the count is evaluated on the canonical
     representative over the search-order ensemble, making it independent of
     the input labelling."""
-    if order is not None:
-        trees = _cached_trees(g, binary=True, caps=caps)
-        return sum(_graded_counts(g, trees, _rank_array(g, order), _lie_tree_normal, False))
-    g = canonical_graph(g, caps)
-    trees = _cached_trees(g, binary=True, caps=caps)
-    return sum(_best_counts(g, trees, None, _lie_tree_normal))
+    return sum(_normal_counts(g, "lie", order, caps)[0])
 
 
 def gchyper_normal_counts(
@@ -367,10 +483,7 @@ def gchyper_normal_counts(
     vertices r = 0 .. n-1; entry r matches the q^r coefficient of the
     weight-graded hypercommutative Hilbert series.  Only the one-vertex
     graph has a weight-0 monomial (the bare leaf, i.e. the unit)."""
-    if order is None:
-        g = canonical_graph(g, caps)
-    trees = _cached_trees(g, binary=False, caps=caps)
-    return _best_counts(g, trees, order, _hyper_tree_normal)
+    return _normal_counts(g, "hyper", order, caps)[0]
 
 
 def gcgrav_normal_counts(
@@ -383,8 +496,7 @@ def gcgrav_normal_counts(
     """
     if order is None:
         g = canonical_graph(g, caps)
-    trees = _cached_trees(g, binary=False, caps=caps)
-    counts = _best_counts(g, trees, order, _grav_tree_normal)
+    counts = _normal_counts(g, "grav", order, caps)[0]
     if g.n >= 2:
         total = sum(counts)
         expected = gerst_total_dim(g)
@@ -406,6 +518,7 @@ def gccom_normal(g: Graph, order: Sequence[int] | None = None, caps: Enumeration
     rank = list(range(g.n)) if order is None else _rank_array(g, order)
     verts = sorted(range(g.n), key=lambda v: rank[v])
     grown = {verts[0]}
+    grown_mask = 1 << verts[0]
     tree = AdmissibleTree(leaf=verts[0])
     while len(grown) < g.n:
         neighbours = set()
@@ -417,7 +530,8 @@ def gccom_normal(g: Graph, order: Sequence[int] | None = None, caps: Enumeration
         nxt = min(neighbours, key=lambda v: rank[v])
         tree = AdmissibleTree(children=[tree, AdmissibleTree(leaf=nxt)])
         grown.add(nxt)
-        if not _is_tube(g, frozenset(grown)):
+        grown_mask |= 1 << nxt
+        if not g.subset_connected(grown_mask):
             raise AssertionError("comb construction left the tube lattice")
     return tree
 

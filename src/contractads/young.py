@@ -107,7 +107,9 @@ class _SparseSeries:
         return self._upto(d) == other._upto(d)
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        # == compares up to the smaller degree, so hash only what every degree
+        # (>= 1) keeps: the terms of total degree <= 1
+        return hash(frozenset(self._upto(1).items()))
 
     # -- series-engine interface ------------------------------------------------
 

@@ -124,6 +124,13 @@ def test_verify_rejects_non_positive_max_vertices(capsys):
         assert "--max-vertices" in err
 
 
+def test_verify_oracle_refuses_bound_above_tree_cap(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-vertices", "9")
+    assert code == 2
+    assert out == ""
+    assert "capped at --max-vertices 8" in err
+
+
 def test_json_polynomial_roundtrip():
     p = QPoly({0: 1, 2: -5, 3: 7})
     assert qpoly_from_json(json.loads(json.dumps(qpoly_to_json(p)))) == p

@@ -158,3 +158,11 @@ def test_invert_unit():
     one_minus_t = PowerSeries.from_terms("t", order, {0: 1, 1: -1})
     geo = one_minus_t.invert_unit()
     assert all(geo.coefficient(n) == QPoly.one() for n in range(order + 1))
+
+
+def test_equal_series_hash_equal():
+    # == compares up to the smaller order, so the hash must not see the order
+    a, b = PowerSeries.identity("t", 3), PowerSeries.identity("t", 5)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -1,10 +1,13 @@
 import random
+import re
+from itertools import permutations
 
 import pytest
 
 from contractads.graphs import (
     EnumerationCaps,
     Graph,
+    canonical_graph,
     complete_graph,
     cycle_graph,
     multipartite_graph,
@@ -22,6 +25,7 @@ from contractads.trees import (
     gchyper_normal_counts,
     gclie_normal_count,
     nested_set_count,
+    oracle_witness,
     stable_tree_count,
 )
 
@@ -126,6 +130,53 @@ def test_explicit_order_surface():
     assert gclie_normal_count(g, order=[0, 1, 2, 3]) >= gclie_normal_count(g)
     with pytest.raises(ValueError):
         gclie_normal_count(g, order=[0, 1, 2])
+
+
+def test_explicit_order_hyper_and_grav():
+    g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    orders = [list(p) for p in permutations(range(4))]
+    hyper_min = sum(gchyper_normal_counts(g))
+    hyper = [sum(gchyper_normal_counts(g, order=o)) for o in orders]
+    assert min(hyper) == hyper_min < max(hyper)
+    grav_min = sum(gcgrav_normal_counts(g))
+    overcounts = 0
+    for o in orders:
+        try:
+            counts = gcgrav_normal_counts(g, order=o)
+        except AssertionError as exc:
+            # an overcount breaks the 2*count = dim gcGerst check
+            overcounts += 1
+            assert int(re.search(r"normal count (\d+)", str(exc)).group(1)) > grav_min
+        else:
+            assert sum(counts) >= grav_min
+    assert 0 < overcounts < len(orders)
+    for oracle in (gchyper_normal_counts, gcgrav_normal_counts):
+        with pytest.raises(ValueError):
+            oracle(g, order=[0, 1, 2])
+
+
+# -- which order won -----------------------------------------------------------------
+
+
+def test_witness_convention_on_k33_and_k222():
+    # the "min" convention overcounts there under every ordering
+    for parts in ([3, 3], [2, 2, 2]):
+        assert oracle_witness(multipartite_graph(parts), "hyper")[1] == "max"
+
+
+def test_min_witness_reproduces_counts():
+    g = relabel_graph(cycle_graph(5), [3, 0, 4, 1, 2])
+    h = canonical_graph(g)
+    for kind, oracle in (
+        ("lie", gclie_normal_count),
+        ("hyper", gchyper_normal_counts),
+        ("grav", gcgrav_normal_counts),
+    ):
+        order, convention = oracle_witness(g, kind)
+        assert convention == "min"
+        assert oracle(h, order=order) == oracle(g)
+    with pytest.raises(ValueError, match="unknown oracle"):
+        oracle_witness(g, "ass")
 
 
 # -- the comb monomial ------------------------------------------------------------------

@@ -210,3 +210,11 @@ def test_specialisations_commute_with_the_series_engine(specialize):
     for fname, f in {"G": G, "F": F}.items():
         for name, op in UNARY.items():
             assert specialize(op(f)) == op(specialize(f)), (name, fname)
+
+
+def test_equal_sparse_series_hash_equal():
+    # == compares up to the smaller degree, so the hash must not see the degree
+    a, b = YoungSeries.z(3), YoungSeries.z(5)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
