@@ -10,6 +10,10 @@ graph, 0 elsewhere).  This module provides the product, star-inversion, and
 the named functions used throughout: 1, 1_q, mu, the chromatic function, and
 the Hilbert series of the little-disks, wonderful (complex and real), gravity
 and hypercommutative contractads.
+
+The product, the star-inverse and the two wonderful recurrences are all one
+partition sum over the block masks of `graphs.graph_partitions`.  A function
+defined by a recurrence in itself is built with `recursive_gf`.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ from .qpoly import QPoly
 from .graphs import (
     Graph,
     canonical_key,
-    contract,
-    graph_partitions,
-    induced_subgraph,
     chromatic_polynomial,
+    graph_partitions,
     path_graph,
-    _mask_to_set,
-    graph_partition_masks,
+    quotient,
+    subgraph,
 )
 
 _MEMO_CAP_ENV = "CONTRACTADS_MEMO_CAP"
@@ -93,19 +95,37 @@ class GraphicFunction:
         return convolve(self, other)
 
 
+def recursive_gf(name: str, step: Callable[[Graph, GraphicFunction], object]) -> GraphicFunction:
+    """The graphic function fn with fn(G) = step(G, fn); step may call fn on
+    graphs with fewer vertices."""
+    fn = GraphicFunction(name, lambda g: step(g, fn))
+    return fn
+
+
+def _partition_sum(graph: Graph, start, outer, inner, odd_only: bool = False, skip=()):
+    """start + sum over graph partitions I of outer(G/I) * prod_{B in I} inner(G, B),
+    B a block mask.  Partitions with a block count in `skip` are left out, and
+    so is G/I whenever the block product is zero."""
+    total = start
+    for blocks in graph_partitions(graph, odd_only):
+        if len(blocks) in skip:
+            continue
+        weight = inner(graph, blocks[0])
+        for block in blocks[1:]:
+            if not weight:
+                break
+            weight = weight * inner(graph, block)
+        if weight:
+            total = total + outer(quotient(graph, blocks)) * weight
+    return total
+
+
 def convolve(f: GraphicFunction, g: GraphicFunction) -> GraphicFunction:
     """Schmitt product f * g."""
-
-    def evaluate(graph: Graph):
-        total = None
-        for blocks in graph_partitions(graph):
-            term = f(contract(graph, blocks))
-            for block in blocks:
-                term = term * g(induced_subgraph(graph, block))
-            total = term if total is None else total + term
-        return total
-
-    return GraphicFunction(f"({f.name}*{g.name})", evaluate)
+    return GraphicFunction(
+        f"({f.name}*{g.name})",
+        lambda graph: _partition_sum(graph, 0, f, lambda G, block: g(subgraph(G, block))),
+    )
 
 
 def star_inverse(f: GraphicFunction) -> GraphicFunction:
@@ -118,23 +138,13 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
     if f(path_graph(1)) != 1:
         raise ValueError("star inverse needs f(P_1) = 1")
 
-    inverse = GraphicFunction(f"starinv({f.name})", lambda g: None)
-
-    def evaluate(graph: Graph):
+    def step(graph: Graph, inverse: GraphicFunction):
         if graph.n == 1:
             return 1
-        acc = -f(graph)
-        for blocks in graph_partitions(graph):
-            if len(blocks) == 1 or len(blocks) == graph.n:
-                continue
-            term = f(contract(graph, blocks))
-            for block in blocks:
-                term = term * inverse(induced_subgraph(graph, block))
-            acc = acc - term
-        return acc
+        inner = lambda G, block: inverse(subgraph(G, block))
+        return -_partition_sum(graph, f(graph), f, inner, skip=(1, graph.n))
 
-    inverse._evaluate = evaluate
-    return inverse
+    return recursive_gf(f"starinv({f.name})", step)
 
 
 # -- named graphic functions -------------------------------------------------------
@@ -268,37 +278,19 @@ def wonderful_complex_gf() -> GraphicFunction:
     Every value is asserted palindromic of degree n - 2 (Poincare duality).
     """
 
-    def build():
-        fn = GraphicFunction("wonderful_C", lambda g: None)
+    factor = lambda _, block: _complex_block_factor(bin(block).count("1"))
 
-        def evaluate(g: Graph):
-            if g.n == 1:
-                return QPoly.one()
-            acc = QPoly.one()
-            for blocks in graph_partition_masks(g):
-                if len(blocks) == g.n:
-                    continue  # all singletons carries the unknown
-                factor = QPoly.one()
-                for b in blocks:
-                    size = bin(b).count("1")
-                    factor = factor * _complex_block_factor(size)
-                    if factor.is_zero():
-                        break
-                if factor.is_zero():
-                    continue
-                sets = tuple(_mask_to_set(b) for b in blocks)
-                acc = acc - fn(contract(g, sets)) * factor
-            acc.assert_integral("wonderful complex value")
-            deg = g.n - 2
-            for k in range(0, deg + 1):
-                if acc.coeff_q(k) != acc.coeff_q(deg - k):
-                    raise AssertionError(f"Poincare palindromicity fails on {g!r}: {acc}")
-            return acc
+    def step(g: Graph, fn: GraphicFunction):
+        # the all-singletons term is value(G) itself: value(G) = 1 - (the rest)
+        acc = -_partition_sum(g, -QPoly.one(), fn, factor, skip=(g.n,))
+        acc.assert_integral("wonderful complex value")
+        deg = g.n - 2
+        for k in range(0, deg + 1):
+            if acc.coeff_q(k) != acc.coeff_q(deg - k):
+                raise AssertionError(f"Poincare palindromicity fails on {g!r}: {acc}")
+        return acc
 
-        fn._evaluate = evaluate
-        return fn
-
-    return _get("wonderful_C", build)
+    return _get("wonderful_C", lambda: recursive_gf("wonderful_C", step))
 
 
 def wonderful_real_gf() -> GraphicFunction:
@@ -310,27 +302,14 @@ def wonderful_real_gf() -> GraphicFunction:
     integrality is asserted.
     """
 
-    def build():
-        fn = GraphicFunction("wonderful_R", lambda g: None)
+    # sqrt(q)^(n - |I|) is the product of sqrt(q)^(|B| - 1) over the blocks
+    weight = lambda _, block: QPoly.sqrt_q(bin(block).count("1") - 1)
 
-        def evaluate(g: Graph):
-            if g.n == 1:
-                return QPoly.one()
-            acc = QPoly.one()
-            for blocks in graph_partition_masks(g, odd_only=True):
-                if len(blocks) == g.n:
-                    continue
-                halves = g.n - len(blocks)
-                weight = QPoly.sqrt_q(halves)
-                sets = tuple(_mask_to_set(b) for b in blocks)
-                acc = acc - fn(contract(g, sets)) * weight
-            acc.assert_integral("wonderful real value")
-            return acc
+    def step(g: Graph, fn: GraphicFunction):
+        acc = -_partition_sum(g, -QPoly.one(), fn, weight, odd_only=True, skip=(g.n,))
+        return acc.assert_integral("wonderful real value")
 
-        fn._evaluate = evaluate
-        return fn
-
-    return _get("wonderful_R", build)
+    return _get("wonderful_R", lambda: recursive_gf("wonderful_R", step))
 
 
 def hyper_weighted_gf() -> GraphicFunction:

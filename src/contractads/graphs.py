@@ -5,6 +5,12 @@ induced subgraph is connected; a graph partition is a partition of the vertex
 set into tubes.  Contraction collapses each block to a vertex, with two blocks
 adjacent exactly when their union is a tube.
 
+On the computational path a vertex set is a bitmask and a graph partition is
+a tuple of block masks ordered by lowest vertex.  `graph_partitions` is the
+one partition enumerator and `quotient` the one construction of both the
+contraction G/I and the induced subgraph G|_B.  `contract`, `contract_tube`
+and `induced_subgraph` take vertex sets from outside and validate them.
+
 Canonical keys make isomorphic graphs share memo entries.  Complete
 multipartite graphs, paths and cycles are recognised structurally and get
 parametric keys; everything else goes through colour refinement plus a
@@ -75,20 +81,20 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def subset_connected(self, mask: int) -> bool:
-        """Is the induced subgraph on the bitmask connected (and non-empty)?"""
-        if mask == 0:
-            return False
-        start = mask & -mask
-        seen = start
-        frontier = start
+    def component(self, mask: int) -> int:
+        """The vertices of the bitmask reachable inside it from its lowest vertex."""
+        seen = frontier = mask & -mask
         while frontier:
             v = frontier & -frontier
             frontier &= frontier - 1
             reach = self.adj_mask[v.bit_length() - 1] & mask & ~seen
             seen |= reach
             frontier |= reach
-        return seen == mask
+        return seen
+
+    def subset_connected(self, mask: int) -> bool:
+        """Is the induced subgraph on the bitmask connected (and non-empty)?"""
+        return mask != 0 and self.component(mask) == mask
 
     def is_connected(self) -> bool:
         return self.subset_connected(self.full_mask())
@@ -192,6 +198,16 @@ def _set_to_mask(s: Iterable[int]) -> int:
     return m
 
 
+def _neighbourhood(g: Graph, mask: int) -> int:
+    """Every vertex adjacent to some vertex of the mask."""
+    out = 0
+    while mask:
+        v = mask & -mask
+        mask &= mask - 1
+        out |= g.adj_mask[v.bit_length() - 1]
+    return out
+
+
 def connected_subset_masks(g: Graph, within: int, containing: int) -> list[int]:
     """All tubes (as masks) inside `within` that contain vertex `containing`."""
     start = 1 << containing
@@ -199,13 +215,7 @@ def connected_subset_masks(g: Graph, within: int, containing: int) -> list[int]:
     stack = [start]
     while stack:
         cur = stack.pop()
-        boundary = 0
-        sub = cur
-        while sub:
-            v = sub & -sub
-            sub &= sub - 1
-            boundary |= g.adj_mask[v.bit_length() - 1]
-        boundary &= within & ~cur
+        boundary = _neighbourhood(g, cur) & within & ~cur
         while boundary:
             w = boundary & -boundary
             boundary &= boundary - 1
@@ -237,64 +247,72 @@ def _partition_masks(g: Graph, remaining: int, odd_only: bool) -> Iterator[tuple
             yield (block,) + rest
 
 
-def graph_partitions(g: Graph, odd_only: bool = False) -> Iterator[tuple[frozenset[int], ...]]:
-    """Duplicate-free enumeration of graph partitions.
+def graph_partitions(g: Graph, odd_only: bool = False) -> Iterator[tuple[int, ...]]:
+    """Duplicate-free enumeration of graph partitions (with `odd_only`, of
+    those whose blocks all have odd size), each a tuple of block masks
+    ordered by lowest vertex.
 
     Recursion always peels off the tube containing the smallest uncovered
     vertex, so every partition is produced exactly once.
     """
-    for blocks in _partition_masks(g, g.full_mask(), odd_only):
-        yield tuple(_mask_to_set(b) for b in blocks)
-
-
-def graph_partition_masks(g: Graph, odd_only: bool = False) -> Iterator[tuple[int, ...]]:
     return _partition_masks(g, g.full_mask(), odd_only)
 
 
+def quotient(g: Graph, blocks: Sequence[int]) -> Graph:
+    """The graph on disjoint vertex masks B_0..B_{k-1}, with B_i and B_j
+    adjacent when an edge of g joins them.
+
+    On a graph partition ordered by lowest vertex, as `graph_partitions`
+    yields it, this is the contraction G/I; on the singletons of a vertex set
+    it is the induced subgraph.  The blocks are not validated.
+    """
+    reach = [_neighbourhood(g, b) for b in blocks]
+    k = len(blocks)
+    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k) if reach[i] & blocks[j]])
+
+
+def subgraph(g: Graph, mask: int) -> Graph:
+    """Induced subgraph on a vertex mask, vertices relabelled 0..|S|-1 in
+    increasing order.  The mask is not validated."""
+    singletons = []
+    while mask:
+        v = mask & -mask
+        mask &= mask - 1
+        singletons.append(v)
+    return quotient(g, singletons)
+
+
 def induced_subgraph(g: Graph, subset: Iterable[int]) -> Graph:
-    """Induced subgraph, vertices relabelled 0..|S|-1 in increasing order."""
-    vs = sorted(set(subset))
-    if not vs:
-        raise ValueError("empty vertex subset")
-    index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return Graph(len(vs), edges)
+    """Induced subgraph on a vertex set, vertices relabelled 0..|S|-1 in
+    increasing order."""
+    mask = _set_to_mask(subset)
+    if not mask or mask >> g.n:
+        raise ValueError(f"vertex subset {sorted(_mask_to_set(mask))} is empty or out of range for n={g.n}")
+    return subgraph(g, mask)
 
 
-def contract(g: Graph, partition) -> Graph:
-    """Quotient by a graph partition (or a single tube, singletons implied);
-    blocks ordered by their minimum vertex."""
-    if partition and all(isinstance(v, int) for v in partition):
-        return contract_tube(g, partition)
-    blocks = [frozenset(b) for b in partition]
-    seen: set[int] = set()
+def contract(g: Graph, partition: Iterable[Iterable[int]]) -> Graph:
+    """Quotient by a graph partition given as vertex sets; blocks ordered by
+    their minimum vertex."""
+    blocks = sorted((_set_to_mask(b) for b in partition), key=lambda b: b & -b)
+    seen = 0
     for b in blocks:
-        if not b:
-            raise ValueError("empty block")
-        if seen & b:
-            raise ValueError("blocks are not disjoint")
-        seen |= set(b)
-        if not g.subset_connected(_set_to_mask(b)):
-            raise ValueError(f"block {sorted(b)} is not a tube")
-    if seen != set(range(g.n)):
+        if seen & b or b >> g.n or not g.subset_connected(b):
+            raise ValueError(f"block {sorted(_mask_to_set(b))} is empty, overlaps another or is not a tube")
+        seen |= b
+    if seen != g.full_mask():
         raise ValueError("blocks do not cover the vertex set")
-    blocks.sort(key=min)
-    owner = {}
-    for i, b in enumerate(blocks):
-        for v in b:
-            owner[v] = i
-    edges = set()
-    for u, v in g.edges:
-        a, b = owner[u], owner[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return Graph(len(blocks), edges)
+    return quotient(g, blocks)
 
 
 def contract_tube(g: Graph, tube: Iterable[int]) -> Graph:
-    t = frozenset(tube)
-    partition = [t] + [frozenset([v]) for v in range(g.n) if v not in t]
-    return contract(g, partition)
+    """Quotient by one tube, every other vertex a singleton block."""
+    t = _set_to_mask(tube)
+    if t >> g.n or not g.subset_connected(t):
+        raise ValueError(f"{sorted(_mask_to_set(t))} is not a tube of a graph with n={g.n}")
+    blocks = [t] + [1 << v for v in range(g.n) if not t >> v & 1]
+    blocks.sort(key=lambda b: b & -b)
+    return quotient(g, blocks)
 
 
 def relabel_graph(g: Graph, perm: Sequence[int]) -> Graph:
@@ -397,7 +415,7 @@ def canonical_key(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tuple:
 def _canonical_key_uncached(g: Graph, caps: EnumerationCaps) -> tuple:
     if not g.is_connected():
         comps = connected_components(g)
-        return ("disc", tuple(sorted(canonical_key(induced_subgraph(g, c), caps) for c in comps)))
+        return ("disc", tuple(sorted(canonical_key(subgraph(g, c), caps) for c in comps)))
     parts = complete_multipartite_parts(g)
     if parts is not None:
         return ("K", parts)
@@ -459,26 +477,28 @@ def canonical_graph(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
     raise ValueError("canonical representative is only defined for connected graphs")
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    remaining = g.full_mask()
+def connected_components(g: Graph) -> list[int]:
+    """The vertex masks of the connected components, by lowest vertex."""
     comps = []
+    remaining = g.full_mask()
     while remaining:
-        v = (remaining & -remaining).bit_length() - 1
-        seen = 1 << v
-        frontier = seen
-        while frontier:
-            w = frontier & -frontier
-            frontier &= frontier - 1
-            reach = g.adj_mask[w.bit_length() - 1] & remaining & ~seen
-            seen |= reach
-            frontier |= reach
-        comps.append(_mask_to_set(seen))
-        remaining &= ~seen
+        comps.append(g.component(remaining))
+        remaining &= ~comps[-1]
     return comps
+
+
+# connected_graphs_upto sweeps all 2^(k(k-1)/2) labelled graphs on k vertices:
+# 2^21 at 7 vertices, 2^28 at 8
+CLASS_ENUMERATION_MAX_VERTICES = 7
 
 
 def connected_graphs_upto(n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on <= n vertices."""
+    if n > CLASS_ENUMERATION_MAX_VERTICES:
+        raise ValueError(
+            f"connected class enumeration is capped at {CLASS_ENUMERATION_MAX_VERTICES} vertices "
+            f"(got {n}); it sweeps every labelled graph"
+        )
     reps: dict[tuple, Graph] = {}
     for k in range(1, n + 1):
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -511,7 +531,7 @@ def chromatic_polynomial(g: Graph) -> QPoly:
     elif not g.is_connected():
         result = QPoly.one()
         for comp in connected_components(g):
-            result = result * chromatic_polynomial(induced_subgraph(g, comp))
+            result = result * chromatic_polynomial(subgraph(g, comp))
     else:
         u, v = min(g.edges)
         deleted = Graph(g.n, g.edges - {(u, v)})

@@ -108,6 +108,8 @@ def _check_cap(g: Graph, caps: EnumerationCaps):
         raise ValueError(
             f"tree enumeration is capped at {caps.tree_max_vertices} vertices (got {g.n})"
         )
+    if not g.is_connected():
+        raise ValueError("admissible trees need a connected graph")
 
 
 def _rank_array(g: Graph, order: Sequence[int]) -> list[int]:
@@ -513,8 +515,6 @@ def gccom_normal(g: Graph, order: Sequence[int] | None = None, caps: Enumeration
     neighbour.  Existence needs connectivity; uniqueness is by construction
     and the result is asserted admissible."""
     _check_cap(g, caps)
-    if not g.is_connected():
-        raise ValueError("normal monomial needs a connected graph")
     rank = list(range(g.n)) if order is None else _rank_array(g, order)
     verts = sorted(range(g.n), key=lambda v: rank[v])
     grown = {verts[0]}

@@ -131,6 +131,14 @@ def test_verify_oracle_refuses_bound_above_tree_cap(capsys):
     assert "capped at --max-vertices 8" in err
 
 
+def test_verify_refuses_class_enumeration_above_seven_vertices(capsys):
+    for suite in ("koszul", "chromatic", "oracle"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-vertices", "8")
+        assert code == 2
+        assert out == ""
+        assert "capped at 7 vertices" in err
+
+
 def test_json_polynomial_roundtrip():
     p = QPoly({0: 1, 2: -5, 3: 7})
     assert qpoly_from_json(json.loads(json.dumps(qpoly_to_json(p)))) == p

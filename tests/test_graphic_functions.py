@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -315,3 +316,15 @@ def test_identity_checks_survive_python_O(optimize):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == [f"optimize {optimize}", "chromatic raised", "gerst raised"]
+
+
+def test_library_has_no_bare_assert():
+    # `assert` statements vanish under `python -O`; every check in the library
+    # raises explicitly instead
+    package = Path(__file__).resolve().parents[1] / "src" / "contractads"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"bare assert statements: {found}"

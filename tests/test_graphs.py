@@ -25,8 +25,10 @@ from contractads.graphs import (
     induced_subgraph,
     multipartite_graph,
     path_graph,
+    quotient,
     relabel_graph,
     star_graph,
+    subgraph,
 )
 
 random.seed(20240817)
@@ -162,14 +164,39 @@ def test_contraction_block_adjacency():
     # blocks adjacent in the quotient iff their union is a tube
     g = cycle_graph(5)
     for blocks in graph_partitions(g):
-        quotient = contract(g, blocks)
-        ordered = sorted(blocks, key=min)
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                union_is_tube = g.subset_connected(
-                    sum(1 << v for v in ordered[i] | ordered[j])
-                )
-                assert quotient.has_edge(i, j) == union_is_tube
+        contracted = quotient(g, blocks)
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                union_is_tube = g.subset_connected(blocks[i] | blocks[j])
+                assert contracted.has_edge(i, j) == union_is_tube
+
+
+def _vertex_sets(blocks):
+    return [[v for v in range(mask.bit_length()) if mask >> v & 1] for mask in blocks]
+
+
+def test_quotient_is_validated_contraction(graphs_upto_5):
+    for g in graphs_upto_5:
+        for blocks in graph_partitions(g):
+            assert list(blocks) == sorted(blocks, key=lambda b: b & -b)
+            assert quotient(g, blocks) == contract(g, _vertex_sets(blocks))
+            for b in blocks:
+                assert subgraph(g, b) == induced_subgraph(g, _vertex_sets([b])[0])
+
+
+def test_contract_rejects_non_partitions():
+    g = path_graph(4)
+    for partition in (
+        [[0, 1], [2]],  # does not cover
+        [[0, 1], [1, 2, 3]],  # overlaps
+        [[0, 1], [], [2, 3]],  # empty block
+        [[0, 1], [2, 3, 4]],  # out of range
+        [[0, 2], [1], [3]],  # not a tube
+    ):
+        with pytest.raises(ValueError):
+            contract(g, partition)
+    with pytest.raises(ValueError):
+        induced_subgraph(g, [2, 4])
 
 
 # -- canonical keys ----------------------------------------------------------------------

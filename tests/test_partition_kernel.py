@@ -1,0 +1,139 @@
+"""Differential test of the block-mask partition sum in
+`contractads.graphic_functions` against the frozenset kernel it replaced,
+kept here as the reference: the Schmitt product, the star-inverse and the two
+wonderful recurrences as loops over frozenset graph partitions, each term
+built with the validating `contract` and `induced_subgraph`.
+
+The named functions are built from the library's own constructors, once
+with the four kernels swapped for the reference and twice as they are; the
+library instances must agree with the reference in value and in Python type
+on every connected class with at most 6 vertices and, with fresh memos, on a
+seeded relabelling of each."""
+
+import random
+
+from contractads import graphic_functions as gf
+from contractads.graphic_functions import GraphicFunction
+from contractads.graphs import contract, induced_subgraph, relabel_graph
+from contractads.qpoly import QPoly
+
+
+def _frozenset_partitions(g):
+    """Every set partition of the vertices whose blocks are all tubes."""
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in partitions(rest):
+            for i in range(len(part)):
+                yield part[:i] + [part[i] | {first}] + part[i + 1 :]
+            yield [frozenset([first])] + part
+
+    for part in partitions(list(range(g.n))):
+        if all(g.subset_connected(sum(1 << v for v in block)) for block in part):
+            yield tuple(part)
+
+
+def ref_convolve(f, g):
+    def evaluate(graph):
+        total = None
+        for blocks in _frozenset_partitions(graph):
+            term = f(contract(graph, blocks))
+            for block in blocks:
+                term = term * g(induced_subgraph(graph, block))
+            total = term if total is None else total + term
+        return total
+
+    return GraphicFunction(f"({f.name}*{g.name})", evaluate)
+
+
+def ref_star_inverse(f):
+    inverse = GraphicFunction(f"starinv({f.name})", lambda g: None)
+
+    def evaluate(graph):
+        if graph.n == 1:
+            return 1
+        acc = -f(graph)
+        for blocks in _frozenset_partitions(graph):
+            if len(blocks) == 1 or len(blocks) == graph.n:
+                continue
+            term = f(contract(graph, blocks))
+            for block in blocks:
+                term = term * inverse(induced_subgraph(graph, block))
+            acc = acc - term
+        return acc
+
+    inverse._evaluate = evaluate
+    return inverse
+
+
+def _ref_wonderful(name, odd_only, weight):
+    fn = GraphicFunction(name, lambda g: None)
+
+    def evaluate(g):
+        if g.n == 1:
+            return QPoly.one()
+        acc = QPoly.one()
+        for blocks in _frozenset_partitions(g):
+            if len(blocks) == g.n or (odd_only and any(len(b) % 2 == 0 for b in blocks)):
+                continue
+            acc = acc - fn(contract(g, blocks)) * weight(g, blocks)
+        return acc
+
+    fn._evaluate = evaluate
+    return fn
+
+
+def ref_wonderful_complex():
+    def factor(g, blocks):
+        out = QPoly.one()
+        for b in blocks:
+            out = out * gf._complex_block_factor(len(b))
+        return out
+
+    return _ref_wonderful("wonderful_C", False, factor)
+
+
+def ref_wonderful_real():
+    return _ref_wonderful("wonderful_R", True, lambda g, blocks: QPoly.sqrt_q(g.n - len(blocks)))
+
+
+def _named_functions():
+    """Fresh instances of every function under test, from the library's own
+    constructors (whichever kernels `gf` holds at the time)."""
+    mu = gf.mobius_gf()
+    return {
+        "mu": mu,
+        "chromatic": gf.chromatic_gf(),
+        "gerst": gf.gerst_hilbert_gf(),
+        "wonderful_C": gf.wonderful_complex_gf(),
+        "wonderful_R": gf.wonderful_real_gf(),
+        "hyper": gf.hyper_weighted_gf(),
+        "grav": gf.grav_weighted_gf(),
+        "Com*Lie": gf.convolve(gf.one_q_gf() * mu, gf.one_q_gf()),
+        "hyper*grav": gf.convolve(gf.hyper_weighted_gf(), gf.grav_weighted_gf()),
+        "eps*eps": gf.convolve(gf.unit_gf(), gf.unit_gf()),
+    }
+
+
+def test_partition_sum_matches_frozenset_kernel(graphs_upto_6, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(gf, "_shared", {})
+        m.setattr(gf, "convolve", ref_convolve)
+        m.setattr(gf, "star_inverse", ref_star_inverse)
+        ref_c, ref_r = ref_wonderful_complex(), ref_wonderful_real()
+        m.setattr(gf, "wonderful_complex_gf", lambda: ref_c)
+        m.setattr(gf, "wonderful_real_gf", lambda: ref_r)
+        reference = _named_functions()
+    rng = random.Random(20260518)
+    relabelled = [relabel_graph(g, rng.sample(range(g.n), g.n)) for g in graphs_upto_6]
+    for graphs in (graphs_upto_6, relabelled):
+        monkeypatch.setattr(gf, "_shared", {})
+        library = _named_functions()
+        for g in graphs:
+            for name, fn in library.items():
+                got, want = fn(g), reference[name](g)
+                assert got == want, (name, g)
+                assert type(got) is type(want), (name, g, type(got), type(want))

@@ -67,6 +67,21 @@ def test_tree_cap():
         enumerate_admissible_trees(path_graph(5), caps=caps)
 
 
+def test_disconnected_graph_is_rejected():
+    g = Graph(3, [(0, 1)])
+    for call in (
+        enumerate_admissible_trees,
+        enumerate_binary_trees,
+        lambda g: gchyper_normal_counts(g, order=[0, 1, 2]),
+        lambda g: gcgrav_normal_counts(g, order=[0, 1, 2]),
+        lambda g: gclie_normal_count(g, order=[0, 1, 2]),
+        gcass_dimension,
+        gccom_normal,
+    ):
+        with pytest.raises(ValueError, match="connected"):
+            call(g)
+
+
 def test_binary_tree_counts():
     # for complete graphs every pairing scheme is admissible: (2n-3)!! trees
     assert len(enumerate_binary_trees(complete_graph(4))) == 15
