@@ -11,13 +11,18 @@ the named functions used throughout: 1, 1_q, mu, the chromatic function, and
 the Hilbert series of the little-disks, wonderful (complex and real), gravity
 and hypercommutative contractads.
 
-The product, the star-inverse and the two wonderful recurrences are all one
-partition sum over the block masks of `graphs.graph_partitions`.  A function
+The product, the star-inverse and the two wonderful recurrences are one
+partition sum, `_partition_sum`.  An outer factor of the vertex count alone
+(`GraphicFunction.of_size`: 1, eps, 1_x, 1_q) sees only the number of blocks:
+its sum is a subset recursion over vertex masks graded by block count,
+`_block_sums`, which builds no G/I; its star-inverse is solved on that table.
+Any other outer factor loops over `graphs.graph_partitions`.  A function
 defined by a recurrence in itself is built with `recursive_gf`.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from fractions import Fraction
 from typing import Callable
@@ -27,6 +32,7 @@ from .graphs import (
     Graph,
     canonical_key,
     chromatic_polynomial,
+    connected_subset_masks,
     graph_partitions,
     path_graph,
     quotient,
@@ -59,6 +65,14 @@ class GraphicFunction:
         self.name = name
         self._evaluate = evaluate
         self._memo: dict = {}
+        self.size_rule: Callable[[int], object] | None = None
+
+    @classmethod
+    def of_size(cls, name: str, rule: Callable[[int], object]) -> "GraphicFunction":
+        """G -> rule(number of vertices of G), with the rule kept as `size_rule`."""
+        fn = cls(name, lambda g: rule(g.n))
+        fn.size_rule = rule
+        return fn
 
     def __call__(self, g: Graph):
         if not g.is_connected():
@@ -102,10 +116,48 @@ def recursive_gf(name: str, step: Callable[[Graph, GraphicFunction], object]) ->
     return fn
 
 
+def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, table: dict, odd_only=False):
+    """The list whose entry k is the sum over partitions of the vertex mask
+    `remaining` into k tubes (all odd with `odd_only`) of prod weight(B), or
+    None if every such product is zero.  Peels off the tube holding the lowest
+    vertex, memoised in `table` on the mask; a table starts as {0: [1]}."""
+    acc = table.get(remaining)
+    if acc is not None:
+        return acc
+    acc = [None] * (bin(remaining).count("1") + 1)
+    lowest = (remaining & -remaining).bit_length() - 1
+    for block in connected_subset_masks(graph, remaining, lowest):
+        if odd_only and bin(block).count("1") % 2 == 0:
+            continue
+        w = weight(block)
+        if not w:
+            continue
+        rest = remaining & ~block
+        for k, value in enumerate(table.get(rest) or _block_sums(graph, weight, rest, table, odd_only), 1):
+            if value is not None:
+                acc[k] = w * value if acc[k] is None else acc[k] + w * value
+    table[remaining] = acc
+    return acc
+
+
+def _graded_total(start, rule, graded: list, skip=()):
+    """start + sum over block counts k of rule(k) * graded[k]."""
+    total = start
+    for k, value in enumerate(graded):
+        if value is not None and k not in skip:
+            total = total + rule(k) * value
+    return total
+
+
 def _partition_sum(graph: Graph, start, outer, inner, odd_only: bool = False, skip=()):
     """start + sum over graph partitions I of outer(G/I) * prod_{B in I} inner(G, B),
     B a block mask.  Partitions with a block count in `skip` are left out, and
-    so is G/I whenever the block product is zero."""
+    so is G/I whenever the block product is zero; an outer factor of the
+    vertex count reads the sum off `_block_sums`, fetching inner once per tube."""
+    if outer.size_rule is not None:
+        weight = functools.cache(lambda block: inner(graph, block))
+        graded = _block_sums(graph, weight, graph.full_mask(), {0: [1]}, odd_only)
+        return _graded_total(start, outer.size_rule, graded, skip)
     total = start
     for blocks in graph_partitions(graph, odd_only):
         if len(blocks) in skip:
@@ -137,6 +189,8 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
     """
     if f(path_graph(1)) != 1:
         raise ValueError("star inverse needs f(P_1) = 1")
+    if f.size_rule is not None:
+        return GraphicFunction(f"starinv({f.name})", lambda graph: _size_inverse(graph, f.size_rule))
 
     def step(graph: Graph, inverse: GraphicFunction):
         if graph.n == 1:
@@ -147,21 +201,36 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
     return recursive_gf(f"starinv({f.name})", step)
 
 
+def _size_inverse(graph: Graph, rule: Callable[[int], object]):
+    """The star-inverse of G -> rule(|G|) at G, solved on every tube T of G,
+    smallest first: in the partition sum of T the single block T, weighted by
+    the unknown value at T, is the only term not yet in the table."""
+    values: dict[int, object] = {1 << v: 1 for v in range(graph.n)}
+    table: dict[int, list] = {0: [1]}
+    full = graph.full_mask()
+    tubes = {t for v in range(graph.n) for t in connected_subset_masks(graph, full, v)}
+    for tube in sorted(tubes - values.keys(), key=lambda t: bin(t).count("1")):
+        size = bin(tube).count("1")
+        graded = _block_sums(graph, values.get, tube, table)
+        graded[1] = values[tube] = -_graded_total(rule(size), rule, graded, skip=(1, size))
+    return values[full]
+
+
 # -- named graphic functions -------------------------------------------------------
 
 
 def unit_gf() -> GraphicFunction:
     """eps: 1 on the one-vertex graph, 0 elsewhere."""
-    return GraphicFunction("eps", lambda g: 1 if g.n == 1 else 0)
+    return GraphicFunction.of_size("eps", lambda n: 1 if n == 1 else 0)
 
 
 def one_gf() -> GraphicFunction:
-    return GraphicFunction("1", lambda g: 1)
+    return GraphicFunction.of_size("1", lambda n: 1)
 
 
 def one_param_gf(value) -> GraphicFunction:
     """1_x: graph on n vertices maps to x**(n-1)."""
-    return GraphicFunction(f"1_({value})", lambda g: _coerce_power(value, g.n - 1))
+    return GraphicFunction.of_size(f"1_({value})", lambda n: _coerce_power(value, n - 1))
 
 
 def _coerce_power(value, exponent: int):
@@ -178,12 +247,12 @@ def one_q_gf() -> GraphicFunction:
 def one_q_odd_gf() -> GraphicFunction:
     """sqrt(q)^(n-1) on graphs with an odd number of vertices, else 0."""
 
-    def evaluate(g: Graph):
-        if g.n % 2 == 0:
+    def rule(n: int):
+        if n % 2 == 0:
             return QPoly.zero()
-        return QPoly.q((g.n - 1) // 2)
+        return QPoly.q((n - 1) // 2)
 
-    return GraphicFunction("1_q^odd", evaluate)
+    return GraphicFunction.of_size("1_q^odd", rule)
 
 
 _shared: dict[str, GraphicFunction] = {}

@@ -209,20 +209,21 @@ def _neighbourhood(g: Graph, mask: int) -> int:
 
 
 def connected_subset_masks(g: Graph, within: int, containing: int) -> list[int]:
-    """All tubes (as masks) inside `within` that contain vertex `containing`."""
+    """All tubes (as masks) inside `within` that contain vertex `containing`.
+
+    Each tube is reached once: a branch grows the tube by one neighbour and
+    bars the neighbours its earlier siblings added."""
     start = 1 << containing
-    found = {start}
-    stack = [start]
+    found = []
+    stack = [(start, g.adj_mask[containing] & within & ~start, start)]
     while stack:
-        cur = stack.pop()
-        boundary = _neighbourhood(g, cur) & within & ~cur
-        while boundary:
-            w = boundary & -boundary
-            boundary &= boundary - 1
-            nxt = cur | w
-            if nxt not in found:
-                found.add(nxt)
-                stack.append(nxt)
+        cur, grow, barred = stack.pop()
+        found.append(cur)
+        while grow:
+            w = grow & -grow
+            grow &= grow - 1
+            barred |= w
+            stack.append((cur | w, grow | g.adj_mask[w.bit_length() - 1] & within & ~barred, barred))
     return sorted(found)
 
 

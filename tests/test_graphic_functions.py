@@ -275,6 +275,41 @@ def test_chromatic_symfun_rejects_non_trees():
         xsym(cycle_graph(3))
 
 
+# -- functions of the vertex count ------------------------------------------------------
+
+
+def test_size_functions_skip_the_quotient(monkeypatch):
+    import contractads.graphic_functions as gf
+
+    def refuse(*args):
+        raise AssertionError("G/I built for an outer factor of the vertex count")
+
+    monkeypatch.setattr(gf, "quotient", refuse)
+    g = complete_graph(6)
+    assert convolve(one_gf(), unit_gf())(g) == 1
+    assert convolve(one_param_gf(2), one_gf())(path_graph(4)) == 27  # (1 + 2)^3
+    monkeypatch.setattr(gf, "subgraph", refuse)
+    assert star_inverse(one_gf())(g) == -120
+
+
+def test_mobius_k12_through_the_cli(capsys):
+    from contractads.cli import main
+
+    assert main(["mobius", "--graph", "K12", "--json"]) == 0
+    assert capsys.readouterr().out.strip() == '{"mobius": -39916800}'  # -11!
+
+
+def test_mobius_is_linear_chromatic_coefficient_on_twelve_vertices():
+    rng = random.Random(20261018)
+    edges = {(rng.randrange(v), v) for v in range(1, 12)}  # a spanning tree
+    while len(edges) < 18:
+        u, v = sorted(rng.sample(range(12), 2))
+        edges.add((u, v))
+    g = Graph(12, sorted(edges))
+    assert canonical_key(g)[0] == "g"
+    assert mobius_gf()(g) == chromatic_polynomial(g).coeff_q(1)
+
+
 # -- memo cap -----------------------------------------------------------------------------
 
 

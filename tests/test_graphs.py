@@ -12,6 +12,7 @@ from contractads.graphs import (
     chromatic_polynomial,
     complete_graph,
     complete_multipartite_parts,
+    connected_subset_masks,
     contract,
     contract_tube,
     count_acyclic_orientations,
@@ -75,6 +76,16 @@ def test_tubes_of_path():
     assert len(tubes) == 6
     assert frozenset({0, 2}) not in tubes
     assert frozenset({0, 1, 2}) in tubes
+
+
+def test_connected_subset_masks_match_brute_force(graphs_upto_5):
+    for g in graphs_upto_5:
+        for within in range(1, 1 << g.n):
+            subsets = [m for m in range(1, within + 1) if m & within == m and g.subset_connected(m)]
+            for v in range(g.n):
+                if within >> v & 1:
+                    want = [m for m in subsets if m >> v & 1]
+                    assert connected_subset_masks(g, within, v) == want, (g, within, v)
 
 
 def brute_force_partitions(g):

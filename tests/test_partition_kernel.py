@@ -8,9 +8,12 @@ The named functions are built from the library's own constructors, once
 with the four kernels swapped for the reference and twice as they are; the
 library instances must agree with the reference in value and in Python type
 on every connected class with at most 6 vertices and, with fresh memos, on a
-seeded relabelling of each."""
+seeded relabelling of each.  Products and inverses of functions of the
+vertex count alone take the library's block-count table instead of the
+partition loop, so both paths are held to the same reference."""
 
 import random
+from fractions import Fraction
 
 from contractads import graphic_functions as gf
 from contractads.graphic_functions import GraphicFunction
@@ -115,7 +118,15 @@ def _named_functions():
         "Com*Lie": gf.convolve(gf.one_q_gf() * mu, gf.one_q_gf()),
         "hyper*grav": gf.convolve(gf.hyper_weighted_gf(), gf.grav_weighted_gf()),
         "eps*eps": gf.convolve(gf.unit_gf(), gf.unit_gf()),
+        "1_(1/2)*mu": gf.convolve(gf.one_param_gf(Fraction(1, 2)), mu),
+        "starinv(1_q)": gf.star_inverse(gf.one_q_gf()),
+        "starinv(eps)": gf.star_inverse(gf.unit_gf()),
     }
+
+
+def _relabelled(graphs):
+    rng = random.Random(20260518)
+    return [relabel_graph(g, rng.sample(range(g.n), g.n)) for g in graphs]
 
 
 def test_partition_sum_matches_frozenset_kernel(graphs_upto_6, monkeypatch):
@@ -127,9 +138,7 @@ def test_partition_sum_matches_frozenset_kernel(graphs_upto_6, monkeypatch):
         m.setattr(gf, "wonderful_complex_gf", lambda: ref_c)
         m.setattr(gf, "wonderful_real_gf", lambda: ref_r)
         reference = _named_functions()
-    rng = random.Random(20260518)
-    relabelled = [relabel_graph(g, rng.sample(range(g.n), g.n)) for g in graphs_upto_6]
-    for graphs in (graphs_upto_6, relabelled):
+    for graphs in (graphs_upto_6, _relabelled(graphs_upto_6)):
         monkeypatch.setattr(gf, "_shared", {})
         library = _named_functions()
         for g in graphs:
@@ -137,3 +146,17 @@ def test_partition_sum_matches_frozenset_kernel(graphs_upto_6, monkeypatch):
                 got, want = fn(g), reference[name](g)
                 assert got == want, (name, g)
                 assert type(got) is type(want), (name, g, type(got), type(want))
+
+
+def test_chromatic_symmetric_function_matches_frozenset_kernel(graphs_upto_6, monkeypatch):
+    trees = [g for g in graphs_upto_6 if g.m == g.n - 1]
+    with monkeypatch.context() as m:
+        m.setattr(gf, "convolve", ref_convolve)
+        reference = gf.chromatic_symfun_tree_gf()
+        want = [reference(t) for t in trees]
+    for graphs in (trees, _relabelled(trees)):
+        library = gf.chromatic_symfun_tree_gf()
+        for t, value in zip(graphs, want):
+            got = library(t)
+            assert got == value, t
+            assert type(got) is type(value), (t, type(got), type(value))
