@@ -13,7 +13,6 @@ from .qpoly import QPoly, ExactDivisionError
 from .series import PowerSeries, series_compose, series_reverse, series_transcendental
 from .graphs import (
     Graph,
-    EnumerationCaps,
     canonical_graph,
     canonical_key,
     chromatic_polynomial,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .qpoly import QPoly
 from .series import PowerSeries
 from .graphs import (
-    DEFAULT_CAPS,
+    TREE_MAX_VERTICES,
     Graph,
     canonical_key,
     connected_graphs_upto,
@@ -250,10 +250,9 @@ def _suite_chromatic(max_vertices: int) -> int:
 
 def _suite_oracle(max_vertices: int) -> int:
     # refuse before the labelled-graph sweep, which is 2^C(n,2) graphs long
-    cap = DEFAULT_CAPS.tree_max_vertices
-    if max_vertices > cap:
+    if max_vertices > TREE_MAX_VERTICES:
         raise UsageError(
-            f"the oracle suite is capped at --max-vertices {cap} (tree enumeration), got {max_vertices}"
+            f"the oracle suite is capped at --max-vertices {TREE_MAX_VERTICES} (tree enumeration), got {max_vertices}"
         )
     hyper = hyper_weighted_gf()
     grav = grav_weighted_gf()

@@ -37,6 +37,7 @@ from .graphs import (
     path_graph,
     quotient,
     subgraph,
+    tube_masks,
 )
 
 _MEMO_CAP_ENV = "CONTRACTADS_MEMO_CAP"
@@ -207,13 +208,11 @@ def _size_inverse(graph: Graph, rule: Callable[[int], object]):
     the unknown value at T, is the only term not yet in the table."""
     values: dict[int, object] = {1 << v: 1 for v in range(graph.n)}
     table: dict[int, list] = {0: [1]}
-    full = graph.full_mask()
-    tubes = {t for v in range(graph.n) for t in connected_subset_masks(graph, full, v)}
-    for tube in sorted(tubes - values.keys(), key=lambda t: bin(t).count("1")):
+    for tube in sorted((t for t in tube_masks(graph) if t not in values), key=int.bit_count):
         size = bin(tube).count("1")
         graded = _block_sums(graph, values.get, tube, table)
         graded[1] = values[tube] = -_graded_total(rule(size), rule, graded, skip=(1, size))
-    return values[full]
+    return values[graph.full_mask()]
 
 
 # -- named graphic functions -------------------------------------------------------

@@ -5,6 +5,14 @@ induced subgraph is connected; a graph partition is a partition of the vertex
 set into tubes.  Contraction collapses each block to a vertex, with two blocks
 adjacent exactly when their union is a tube.
 
+A graph is `n` plus one neighbour bitmask per vertex, and nothing else; the
+edge set, the edge count and the degrees are read off the masks.  A graph is
+validated only where it enters from outside: `Graph(n, edges)`, which the
+families and the text and graph6 parsers call.  Everything the library
+derives from a valid graph (contractions, induced subgraphs, relabellings,
+edge deletions, canonical representatives) is built from masks by
+`Graph._from_masks`, which checks nothing.
+
 On the computational path a vertex set is a bitmask and a graph partition is
 a tuple of block masks ordered by lowest vertex.  `graph_partitions` is the
 one partition enumerator and `quotient` the one construction of both the
@@ -21,62 +29,69 @@ should be used beyond the cap).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .qpoly import QPoly
 
+# Size guards for the brute-force components
+CANONICAL_MAX_VERTICES = 12
+CANONICAL_MAX_ORDERINGS = 4_000_000
+TREE_MAX_VERTICES = 8
+# connected_graphs_upto sweeps all 2^(k(k-1)/2) labelled graphs on k vertices:
+# 2^21 at 7 vertices, 2^28 at 8
+CLASS_ENUMERATION_MAX_VERTICES = 7
 
-@dataclass(frozen=True)
-class EnumerationCaps:
-    """Size guards for the brute-force components."""
 
-    canonical_max_vertices: int = 12
-    canonical_max_orderings: int = 4_000_000
-    tree_max_vertices: int = 8
-
-
-DEFAULT_CAPS = EnumerationCaps()
+def _bits(mask: int) -> list[int]:
+    """The vertices of a bitmask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1; `adj_mask[v]` is the
+    bitmask of the neighbours of v."""
 
-    __slots__ = ("n", "edges", "adj", "adj_mask")
+    __slots__ = ("n", "adj_mask")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], require_connected: bool = False):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        norm = set()
+        mask = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} rejected")
-            e = (u, v) if u < v else (v, u)
-            if e in norm:
-                raise ValueError(f"duplicate edge {e} rejected")
-            norm.add(e)
-        self.n = n
-        self.edges = frozenset(norm)
-        adj = [set() for _ in range(n)]
-        mask = [0] * n
-        for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
+            if mask[u] >> v & 1:
+                raise ValueError(f"duplicate edge {(min(u, v), max(u, v))} rejected")
             mask[u] |= 1 << v
             mask[v] |= 1 << u
-        self.adj = tuple(frozenset(a) for a in adj)
+        self.n = n
         self.adj_mask = tuple(mask)
-        if require_connected and not self.is_connected():
-            raise ValueError("graph is not connected")
+
+    @classmethod
+    def _from_masks(cls, n: int, adj_mask: tuple[int, ...]) -> Graph:
+        """The graph with the given neighbour masks, unchecked: the caller
+        guarantees n >= 1, len(adj_mask) == n, and masks that are symmetric,
+        loop-free and inside range(n)."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj_mask = adj_mask
+        return g
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (u, v) with u < v."""
+        return frozenset((u, v) for u, row in enumerate(self.adj_mask) for v in _bits(row) if u < v)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def vertices(self) -> range:
-        return range(self.n)
+        return sum(row.bit_count() for row in self.adj_mask) >> 1
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -100,18 +115,18 @@ class Graph:
         return self.subset_connected(self.full_mask())
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.adj_mask[u] >> v & 1 == 1
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.adj_mask == other.adj_mask
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj_mask))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -182,15 +197,6 @@ def family_graph(kind: str, params) -> Graph:
 # -- tubes and partitions -------------------------------------------------------
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        v = mask & -mask
-        out.append(v.bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
-
-
 def _set_to_mask(s: Iterable[int]) -> int:
     m = 0
     for v in s:
@@ -227,13 +233,15 @@ def connected_subset_masks(g: Graph, within: int, containing: int) -> list[int]:
     return sorted(found)
 
 
+def tube_masks(g: Graph) -> list[int]:
+    """Every tube of g as a mask, each reached once, from its lowest vertex."""
+    full = g.full_mask()
+    return [t for v in range(g.n) for t in connected_subset_masks(g, full >> v << v, v)]
+
+
 def enumerate_tubes(g: Graph) -> list[frozenset[int]]:
     """Every non-empty vertex subset with connected induced subgraph."""
-    masks: set[int] = set()
-    full = g.full_mask()
-    for v in range(g.n):
-        masks.update(connected_subset_masks(g, full, v))
-    return [_mask_to_set(m) for m in sorted(masks)]
+    return [frozenset(_bits(m)) for m in sorted(tube_masks(g))]
 
 
 def _partition_masks(g: Graph, remaining: int, odd_only: bool) -> Iterator[tuple[int, ...]]:
@@ -267,9 +275,15 @@ def quotient(g: Graph, blocks: Sequence[int]) -> Graph:
     yields it, this is the contraction G/I; on the singletons of a vertex set
     it is the induced subgraph.  The blocks are not validated.
     """
-    reach = [_neighbourhood(g, b) for b in blocks]
     k = len(blocks)
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k) if reach[i] & blocks[j]])
+    rows = [0] * k
+    for i, b in enumerate(blocks):
+        reach = _neighbourhood(g, b)
+        for j in range(i + 1, k):
+            if reach & blocks[j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph._from_masks(k, tuple(rows))
 
 
 def subgraph(g: Graph, mask: int) -> Graph:
@@ -288,7 +302,7 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> Graph:
     increasing order."""
     mask = _set_to_mask(subset)
     if not mask or mask >> g.n:
-        raise ValueError(f"vertex subset {sorted(_mask_to_set(mask))} is empty or out of range for n={g.n}")
+        raise ValueError(f"vertex subset {_bits(mask)} is empty or out of range for n={g.n}")
     return subgraph(g, mask)
 
 
@@ -299,7 +313,7 @@ def contract(g: Graph, partition: Iterable[Iterable[int]]) -> Graph:
     seen = 0
     for b in blocks:
         if seen & b or b >> g.n or not g.subset_connected(b):
-            raise ValueError(f"block {sorted(_mask_to_set(b))} is empty, overlaps another or is not a tube")
+            raise ValueError(f"block {_bits(b)} is empty, overlaps another or is not a tube")
         seen |= b
     if seen != g.full_mask():
         raise ValueError("blocks do not cover the vertex set")
@@ -310,14 +324,21 @@ def contract_tube(g: Graph, tube: Iterable[int]) -> Graph:
     """Quotient by one tube, every other vertex a singleton block."""
     t = _set_to_mask(tube)
     if t >> g.n or not g.subset_connected(t):
-        raise ValueError(f"{sorted(_mask_to_set(t))} is not a tube of a graph with n={g.n}")
+        raise ValueError(f"{_bits(t)} is not a tube of a graph with n={g.n}")
     blocks = [t] + [1 << v for v in range(g.n) if not t >> v & 1]
     blocks.sort(key=lambda b: b & -b)
     return quotient(g, blocks)
 
 
 def relabel_graph(g: Graph, perm: Sequence[int]) -> Graph:
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    """The graph with vertex v renamed perm[v], perm a permutation of range(n)."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError(f"{list(perm)} is not a permutation of range({g.n})")
+    rows = [0] * g.n
+    for u, row in enumerate(g.adj_mask):
+        for v in _bits(row):
+            rows[perm[u]] |= 1 << perm[v]
+    return Graph._from_masks(g.n, tuple(rows))
 
 
 # -- structural recognisers -----------------------------------------------------
@@ -358,12 +379,10 @@ def _is_cycle(g: Graph) -> bool:
 # -- canonical keys --------------------------------------------------------------
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    colors = [g.degree(v) for v in range(g.n)]
+def _refine_colors(neighbours: list[list[int]]) -> list[int]:
+    colors = [len(ns) for ns in neighbours]
     while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in g.adj[v]))) for v in range(g.n)
-        ]
+        signatures = [(colors[v], tuple(sorted(colors[w] for w in ns))) for v, ns in enumerate(neighbours)]
         palette = {s: i for i, s in enumerate(sorted(set(signatures)))}
         new = [palette[s] for s in signatures]
         if new == colors:
@@ -380,43 +399,27 @@ def _orderings_by_class(classes: list[list[int]]) -> Iterator[list[int]]:
         yield order
 
 
-_pair_index_cache: dict[int, dict[tuple[int, int], int]] = {}
+_canonical_cache: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    table = _pair_index_cache.get(n)
-    if table is None:
-        table = {}
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                table[(i, j)] = k
-                k += 1
-        _pair_index_cache[n] = table
-    return table
-
-
-_canonical_cache: dict[tuple[int, frozenset], tuple] = {}
-
-
-def canonical_key(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tuple:
+def canonical_key(g: Graph) -> tuple:
     """Relabelling-invariant key; identical for isomorphic graphs.
 
     Disconnected graphs get the sorted tuple of component keys (needed by
     deletion-contraction intermediates).
     """
-    cached = _canonical_cache.get((g.n, g.edges))
+    cached = _canonical_cache.get((g.n, g.adj_mask))
     if cached is not None:
         return cached
-    key = _canonical_key_uncached(g, caps)
-    _canonical_cache[(g.n, g.edges)] = key
+    key = _canonical_key_uncached(g)
+    _canonical_cache[(g.n, g.adj_mask)] = key
     return key
 
 
-def _canonical_key_uncached(g: Graph, caps: EnumerationCaps) -> tuple:
+def _canonical_key_uncached(g: Graph) -> tuple:
     if not g.is_connected():
         comps = connected_components(g)
-        return ("disc", tuple(sorted(canonical_key(subgraph(g, c), caps) for c in comps)))
+        return ("disc", tuple(sorted(canonical_key(subgraph(g, c)) for c in comps)))
     parts = complete_multipartite_parts(g)
     if parts is not None:
         return ("K", parts)
@@ -424,45 +427,66 @@ def _canonical_key_uncached(g: Graph, caps: EnumerationCaps) -> tuple:
         return ("P", g.n)
     if _is_cycle(g):
         return ("C", g.n)
-    if g.n > caps.canonical_max_vertices:
+    if g.n > CANONICAL_MAX_VERTICES:
         raise ValueError(
             f"canonical form for generic graphs is capped at "
-            f"{caps.canonical_max_vertices} vertices (got {g.n}); "
+            f"{CANONICAL_MAX_VERTICES} vertices (got {g.n}); "
             f"use the family constructors for large graphs"
         )
-    colors = _refine_colors(g)
+    return ("g", g.n, _min_adjacency_mask(g))
+
+
+def _from_pair_mask(n: int, mask: int) -> Graph:
+    """The graph whose edges are the set bits of a pair mask: bit k stands for
+    the k-th pair of combinations(range(n), 2), so the pair a < b is bit
+    a*n - a*(a+1)/2 + b - a - 1."""
+    rows = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if mask & 1:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        mask >>= 1
+    return Graph._from_masks(n, tuple(rows))
+
+
+def _min_adjacency_mask(g: Graph) -> int:
+    """The least pair mask (see `_from_pair_mask`) of g over the orderings of
+    its vertices within colour-refinement classes."""
+    n = g.n
+    neighbours = [_bits(row) for row in g.adj_mask]
     by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
+    for v, c in enumerate(_refine_colors(neighbours)):
         by_color.setdefault(c, []).append(v)
     classes = [by_color[c] for c in sorted(by_color)]
     total = 1
     for c in classes:
         for i in range(2, len(c) + 1):
             total *= i
-    if total > caps.canonical_max_orderings:
+    if total > CANONICAL_MAX_ORDERINGS:
         raise ValueError(
             f"graph is too symmetric for brute-force canonicalisation "
             f"({total} orderings); use the family constructors"
         )
-    pair = _pair_index(g.n)
+    edges = [(u, v) for u, ns in enumerate(neighbours) for v in ns if u < v]
+    offset = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]  # slots a < b: bit offset[a] + b
     best = None
+    pos = [0] * n
     for order in _orderings_by_class(classes):
-        pos = [0] * g.n
         for slot, v in enumerate(order):
             pos[v] = slot
         mask = 0
-        for u, v in g.edges:
+        for u, v in edges:
             a, b = pos[u], pos[v]
-            mask |= 1 << pair[(a, b) if a < b else (b, a)]
+            mask |= 1 << (offset[a] + b if a < b else offset[b] + a)
         if best is None or mask < best:
             best = mask
-    return ("g", g.n, best)
+    return best
 
 
-def canonical_graph(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
+def canonical_graph(g: Graph) -> Graph:
     """A fixed representative of the isomorphism class, reconstructed from the
     canonical key.  Connected graphs only."""
-    key = canonical_key(g, caps)
+    key = canonical_key(g)
     kind = key[0]
     if kind == "K":
         return multipartite_graph(key[1])
@@ -471,10 +495,7 @@ def canonical_graph(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
     if kind == "C":
         return cycle_graph(key[1])
     if kind == "g":
-        _, n, mask = key
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        return Graph(n, edges)
+        return _from_pair_mask(key[1], key[2])
     raise ValueError("canonical representative is only defined for connected graphs")
 
 
@@ -488,12 +509,7 @@ def connected_components(g: Graph) -> list[int]:
     return comps
 
 
-# connected_graphs_upto sweeps all 2^(k(k-1)/2) labelled graphs on k vertices:
-# 2^21 at 7 vertices, 2^28 at 8
-CLASS_ENUMERATION_MAX_VERTICES = 7
-
-
-def connected_graphs_upto(n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> list[Graph]:
+def connected_graphs_upto(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on <= n vertices."""
     if n > CLASS_ENUMERATION_MAX_VERTICES:
         raise ValueError(
@@ -502,13 +518,11 @@ def connected_graphs_upto(n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> list[
         )
     reps: dict[tuple, Graph] = {}
     for k in range(1, n + 1):
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            g = Graph(k, edges)
+        for pairs in range(1 << k * (k - 1) // 2):
+            g = _from_pair_mask(k, pairs)
             if not g.is_connected():
                 continue
-            key = canonical_key(g, caps)
+            key = canonical_key(g)
             if key not in reps:
                 reps[key] = g
     return list(reps.values())
@@ -527,7 +541,7 @@ def chromatic_polynomial(g: Graph) -> QPoly:
     cached = _chromatic_cache.get(key)
     if cached is not None:
         return cached
-    if not g.edges:
+    if g.m == 0:
         result = QPoly.q(1) ** g.n
     elif not g.is_connected():
         result = QPoly.one()
@@ -535,7 +549,10 @@ def chromatic_polynomial(g: Graph) -> QPoly:
             result = result * chromatic_polynomial(subgraph(g, comp))
     else:
         u, v = min(g.edges)
-        deleted = Graph(g.n, g.edges - {(u, v)})
+        rows = list(g.adj_mask)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        deleted = Graph._from_masks(g.n, tuple(rows))
         contracted = contract_tube(g, {u, v})
         result = chromatic_polynomial(deleted) - chromatic_polynomial(contracted)
     _chromatic_cache[key] = result

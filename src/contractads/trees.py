@@ -41,10 +41,10 @@ from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .graphs import (
-    DEFAULT_CAPS,
-    EnumerationCaps,
+    TREE_MAX_VERTICES,
     Graph,
-    _mask_to_set,
+    _bits,
+    _neighbourhood,
     _partition_masks,
     canonical_graph,
     connected_subset_masks,
@@ -74,7 +74,7 @@ class AdmissibleTree:
 
     @property
     def leaves(self) -> frozenset[int]:
-        return _mask_to_set(self.mask)
+        return frozenset(_bits(self.mask))
 
     @property
     def min_leaf(self) -> int:
@@ -103,11 +103,9 @@ class AdmissibleTree:
         return "(" + ",".join(repr(t) for t in self.children) + ")"
 
 
-def _check_cap(g: Graph, caps: EnumerationCaps):
-    if g.n > caps.tree_max_vertices:
-        raise ValueError(
-            f"tree enumeration is capped at {caps.tree_max_vertices} vertices (got {g.n})"
-        )
+def _check_cap(g: Graph):
+    if g.n > TREE_MAX_VERTICES:
+        raise ValueError(f"tree enumeration is capped at {TREE_MAX_VERTICES} vertices (got {g.n})")
     if not g.is_connected():
         raise ValueError("admissible trees need a connected graph")
 
@@ -143,7 +141,7 @@ def _bfs_order(g: Graph, start: int, reverse: bool) -> list[int]:
     while len(seen) < g.n:
         v = seen[i]
         i += 1
-        for w in sorted(g.adj[v], reverse=reverse):
+        for w in _bits(g.adj_mask[v])[::-1 if reverse else 1]:
             if w not in found:
                 found.add(w)
                 seen.append(w)
@@ -159,7 +157,7 @@ def _dfs_order(g: Graph, start: int, reverse: bool) -> list[int]:
             continue
         found.add(v)
         seen.append(v)
-        for w in sorted(g.adj[v], reverse=not reverse):
+        for w in _bits(g.adj_mask[v])[::1 if reverse else -1]:
             if w not in found:
                 stack.append(w)
     return seen
@@ -268,18 +266,16 @@ class _TreeStore:
 _tree_cache: dict[tuple, _TreeStore] = {}
 
 
-def _tree_store(g: Graph, binary: bool, caps: EnumerationCaps) -> _TreeStore:
-    _check_cap(g, caps)
-    key = (g.n, g.edges, binary)
+def _tree_store(g: Graph, binary: bool) -> _TreeStore:
+    _check_cap(g)
+    key = (g.n, g.adj_mask, binary)
     store = _tree_cache.get(key)
     if store is None:
         store = _tree_cache[key] = _TreeStore(g, binary)
     return store
 
 
-def enumerate_admissible_trees(
-    g: Graph, stable_only: bool = True, caps: EnumerationCaps = DEFAULT_CAPS
-) -> list[AdmissibleTree]:
+def enumerate_admissible_trees(g: Graph, stable_only: bool = True) -> list[AdmissibleTree]:
     """All stable admissible trees, by choosing the root partition and
     recursing into the blocks.
 
@@ -291,17 +287,17 @@ def enumerate_admissible_trees(
             "non-stable admissible trees form an infinite set (unary chains); "
             "only the stable enumeration is supported"
         )
-    store = _tree_store(g, False, caps)
+    store = _tree_store(g, False)
     return [store.tree(t) for t in range(len(store.trees))]
 
 
-def enumerate_binary_trees(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> list[AdmissibleTree]:
-    store = _tree_store(g, True, caps)
+def enumerate_binary_trees(g: Graph) -> list[AdmissibleTree]:
+    store = _tree_store(g, True)
     return [store.tree(t) for t in range(len(store.trees))]
 
 
-def stable_tree_count(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> int:
-    return len(_tree_store(g, False, caps).trees)
+def stable_tree_count(g: Graph) -> int:
+    return len(_tree_store(g, False).trees)
 
 
 # -- normality rules ------------------------------------------------------------------
@@ -428,9 +424,7 @@ def _graded_normal(store: _TreeStore, bad: int) -> list[int]:
     return [(grade & ~bad).bit_count() for grade in store.grades]
 
 
-def _normal_counts(
-    g: Graph, kind: str, order: Sequence[int] | None, caps: EnumerationCaps
-) -> tuple[list[int], list[int], str]:
+def _normal_counts(g: Graph, kind: str, order: Sequence[int] | None) -> tuple[list[int], list[int], str]:
     """(graded counts, order, convention).  An explicit order is evaluated
     literally on g under the "min" convention.  Otherwise the ensemble runs
     on the canonical representative and keeps the smallest total: each
@@ -441,11 +435,11 @@ def _normal_counts(
         raise ValueError(f"unknown oracle {kind!r}; expected one of {sorted(_ORACLES)}")
     binary, rule = _ORACLES[kind]
     if order is not None:
-        store = _tree_store(g, binary, caps)
+        store = _tree_store(g, binary)
         bad_min, _ = _non_normal(store, _min_ranks(_rank_array(g, order)), rule)
         return _graded_normal(store, bad_min), list(order), "min"
-    g = canonical_graph(g, caps)
-    store = _tree_store(g, binary, caps)
+    g = canonical_graph(g)
+    store = _tree_store(g, binary)
     best = None
     for candidate in search_orders(g):
         bads = _non_normal(store, _min_ranks(_rank_array(g, candidate)), rule)
@@ -456,49 +450,43 @@ def _normal_counts(
     return best
 
 
-def oracle_witness(g: Graph, kind: str, caps: EnumerationCaps = DEFAULT_CAPS) -> tuple[list[int], str]:
+def oracle_witness(g: Graph, kind: str) -> tuple[list[int], str]:
     """The (search order, "min" | "max") at which the ensemble of `kind`
     ("lie", "hyper" or "grav") attains its reported count.  The order lists
     the vertices of `canonical_graph(g)`, where the ensemble runs; under the
     "min" convention, passing it as `order=` on that graph reproduces the
     counts."""
-    _, order, convention = _normal_counts(g, kind, None, caps)
+    _, order, convention = _normal_counts(g, kind, None)
     return order, convention
 
 
-def gclie_normal_count(
-    g: Graph, order: Sequence[int] | None = None, caps: EnumerationCaps = DEFAULT_CAPS
-) -> int:
+def gclie_normal_count(g: Graph, order: Sequence[int] | None = None) -> int:
     """Number of normal binary monomials; equals |mu(G)| whenever the
     quadratic rewriting terminates in a basis (checked downstream).
 
     With no explicit order the count is evaluated on the canonical
     representative over the search-order ensemble, making it independent of
     the input labelling."""
-    return sum(_normal_counts(g, "lie", order, caps)[0])
+    return sum(_normal_counts(g, "lie", order)[0])
 
 
-def gchyper_normal_counts(
-    g: Graph, order: Sequence[int] | None = None, caps: EnumerationCaps = DEFAULT_CAPS
-) -> list[int]:
+def gchyper_normal_counts(g: Graph, order: Sequence[int] | None = None) -> list[int]:
     """Counts of normal stable trees graded by the number of internal
     vertices r = 0 .. n-1; entry r matches the q^r coefficient of the
     weight-graded hypercommutative Hilbert series.  Only the one-vertex
     graph has a weight-0 monomial (the bare leaf, i.e. the unit)."""
-    return _normal_counts(g, "hyper", order, caps)[0]
+    return _normal_counts(g, "hyper", order)[0]
 
 
-def gcgrav_normal_counts(
-    g: Graph, order: Sequence[int] | None = None, caps: EnumerationCaps = DEFAULT_CAPS
-) -> list[int]:
+def gcgrav_normal_counts(g: Graph, order: Sequence[int] | None = None) -> list[int]:
     """Counts of normal gravity monomials graded by internal vertices.
 
     For graphs with at least two vertices, twice the total count must equal
     the total little-disks dimension (the defining check, asserted here).
     """
     if order is None:
-        g = canonical_graph(g, caps)
-    counts = _normal_counts(g, "grav", order, caps)[0]
+        g = canonical_graph(g)
+    counts = _normal_counts(g, "grav", order)[0]
     if g.n >= 2:
         total = sum(counts)
         expected = gerst_total_dim(g)
@@ -509,38 +497,33 @@ def gcgrav_normal_counts(
     return counts
 
 
-def gccom_normal(g: Graph, order: Sequence[int] | None = None, caps: EnumerationCaps = DEFAULT_CAPS) -> AdmissibleTree:
+def gccom_normal(g: Graph, order: Sequence[int] | None = None) -> AdmissibleTree:
     """The unique normal monomial of the one-dimensional contractad: the left
     comb that at each step merges the grown tube with its minimal unvisited
     neighbour.  Existence needs connectivity; uniqueness is by construction
     and the result is asserted admissible."""
-    _check_cap(g, caps)
+    _check_cap(g)
     rank = list(range(g.n)) if order is None else _rank_array(g, order)
     verts = sorted(range(g.n), key=lambda v: rank[v])
-    grown = {verts[0]}
     grown_mask = 1 << verts[0]
     tree = AdmissibleTree(leaf=verts[0])
-    while len(grown) < g.n:
-        neighbours = set()
-        for v in grown:
-            neighbours.update(g.adj[v])
-        neighbours -= grown
+    while grown_mask != g.full_mask():
+        neighbours = _bits(_neighbourhood(g, grown_mask) & ~grown_mask)
         if not neighbours:
             raise AssertionError("connected graph ran out of neighbours")
         nxt = min(neighbours, key=lambda v: rank[v])
         tree = AdmissibleTree(children=[tree, AdmissibleTree(leaf=nxt)])
-        grown.add(nxt)
         grown_mask |= 1 << nxt
         if not g.subset_connected(grown_mask):
             raise AssertionError("comb construction left the tube lattice")
     return tree
 
 
-def gcass_dimension(g: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> int:
+def gcass_dimension(g: Graph) -> int:
     """Dimension of the associative contractad component: vertex orderings up
     to swapping adjacent non-adjacent vertices.  Computed by orbit counting
     and cross-checked against the acyclic-orientation count."""
-    _check_cap(g, caps)
+    _check_cap(g)
     from itertools import permutations
 
     seen: set[tuple[int, ...]] = set()

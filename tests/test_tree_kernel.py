@@ -3,7 +3,7 @@ tree-by-tree normality predicates it replaced, kept here as the reference
 oracle.  The reference walks `AdmissibleTree` objects and their frozenset
 leaf sets and re-sorts children for every check."""
 
-from contractads.graphs import DEFAULT_CAPS, Graph
+from contractads.graphs import Graph
 from contractads.trees import (
     _ORACLES,
     AdmissibleTree,
@@ -106,7 +106,7 @@ REFERENCE = {"lie": _lie_tree_normal, "hyper": _hyper_tree_normal, "grav": _grav
 def _assert_verdicts_match(g: Graph, orders) -> None:
     trees = {True: enumerate_binary_trees(g), False: enumerate_admissible_trees(g)}
     for kind, (binary, rule) in _ORACLES.items():
-        store = _tree_store(g, binary, DEFAULT_CAPS)
+        store = _tree_store(g, binary)
         for order in orders:
             rank = _rank_array(g, order)
             _min_rank_memo.clear()

@@ -5,7 +5,6 @@ from itertools import permutations
 import pytest
 
 from contractads.graphs import (
-    EnumerationCaps,
     Graph,
     canonical_graph,
     complete_graph,
@@ -62,9 +61,9 @@ def test_non_stable_enumeration_rejected():
 
 
 def test_tree_cap():
-    caps = EnumerationCaps(tree_max_vertices=4)
+    # one vertex above the cap: refused before any enumeration
     with pytest.raises(ValueError, match="capped"):
-        enumerate_admissible_trees(path_graph(5), caps=caps)
+        enumerate_admissible_trees(path_graph(9))
 
 
 def test_disconnected_graph_is_rejected():
