@@ -73,5 +73,26 @@ from .trees import (
     stable_tree_count,
 )
 
+import sys as _sys
+
+from . import graphs as _graphs
+
+
+def clear_caches() -> None:
+    """Empty every memo of the library, to bound the memory of a long-lived
+    process: the canonical-key and chromatic tables of `graphs`, and every
+    `functools.cache` of a loaded contractads module (among them the named
+    graphic functions with their memos, the Young structure constants and
+    the tree stores).  A graphic function the caller still holds keeps its
+    own memo."""
+    _graphs._canonical_cache.clear()
+    _graphs._chromatic_cache.clear()
+    for name, module in list(_sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
     return build_parser()

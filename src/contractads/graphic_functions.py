@@ -23,7 +23,6 @@ defined by a recurrence in itself is built with `recursive_gf`.
 from __future__ import annotations
 
 import functools
-import os
 from fractions import Fraction
 from typing import Callable
 
@@ -39,19 +38,6 @@ from .graphs import (
     subgraph,
     tube_masks,
 )
-
-_MEMO_CAP_ENV = "CONTRACTADS_MEMO_CAP"
-
-
-def _memo_cap() -> int | None:
-    raw = os.environ.get(_MEMO_CAP_ENV)
-    if raw is None:
-        return None
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return None
-
 
 class GraphicFunction:
     """Memoised isomorphism-invariant map from connected graphs to a ring.
@@ -83,9 +69,7 @@ class GraphicFunction:
         if hit is not None:
             return hit
         value = self._evaluate(g)
-        cap = _memo_cap()
-        if cap is None or len(self._memo) < cap:
-            self._memo[key] = value
+        self._memo[key] = value
         return value
 
     def __repr__(self):
@@ -117,9 +101,9 @@ def recursive_gf(name: str, step: Callable[[Graph, GraphicFunction], object]) ->
     return fn
 
 
-def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, table: dict, odd_only=False):
+def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, table: dict):
     """The list whose entry k is the sum over partitions of the vertex mask
-    `remaining` into k tubes (all odd with `odd_only`) of prod weight(B), or
+    `remaining` into k tubes of prod weight(B), or
     None if every such product is zero.  Peels off the tube holding the lowest
     vertex, memoised in `table` on the mask; a table starts as {0: [1]}."""
     acc = table.get(remaining)
@@ -128,13 +112,11 @@ def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, t
     acc = [None] * (bin(remaining).count("1") + 1)
     lowest = (remaining & -remaining).bit_length() - 1
     for block in connected_subset_masks(graph, remaining, lowest):
-        if odd_only and bin(block).count("1") % 2 == 0:
-            continue
         w = weight(block)
         if not w:
             continue
         rest = remaining & ~block
-        for k, value in enumerate(table.get(rest) or _block_sums(graph, weight, rest, table, odd_only), 1):
+        for k, value in enumerate(table.get(rest) or _block_sums(graph, weight, rest, table), 1):
             if value is not None:
                 acc[k] = w * value if acc[k] is None else acc[k] + w * value
     table[remaining] = acc
@@ -151,13 +133,15 @@ def _graded_total(start, rule, graded: list, skip=()):
 
 
 def _partition_sum(graph: Graph, start, outer, inner, odd_only: bool = False, skip=()):
-    """start + sum over graph partitions I of outer(G/I) * prod_{B in I} inner(G, B),
-    B a block mask.  Partitions with a block count in `skip` are left out, and
-    so is G/I whenever the block product is zero; an outer factor of the
-    vertex count reads the sum off `_block_sums`, fetching inner once per tube."""
-    if outer.size_rule is not None:
+    """start + sum over graph partitions I (with odd blocks only, if
+    `odd_only`) of outer(G/I) * prod_{B in I} inner(G, B), B a block mask.
+    Partitions with a block count in `skip` are left out, and so is G/I
+    whenever the block product is zero.  An outer factor of the vertex count
+    reads the sum over all partitions off `_block_sums`, fetching inner once
+    per tube."""
+    if outer.size_rule is not None and not odd_only:
         weight = functools.cache(lambda block: inner(graph, block))
-        graded = _block_sums(graph, weight, graph.full_mask(), {0: [1]}, odd_only)
+        graded = _block_sums(graph, weight, graph.full_mask(), {0: [1]})
         return _graded_total(start, outer.size_rule, graded, skip)
     total = start
     for blocks in graph_partitions(graph, odd_only):
@@ -254,42 +238,32 @@ def one_q_odd_gf() -> GraphicFunction:
     return GraphicFunction.of_size("1_q^odd", rule)
 
 
-_shared: dict[str, GraphicFunction] = {}
+# The named functions below are built once per process, so their memos are
+# shared by every caller; `contractads.clear_caches()` drops them.
 
 
-def _get(name: str, build: Callable[[], GraphicFunction]) -> GraphicFunction:
-    fn = _shared.get(name)
-    if fn is None:
-        fn = build()
-        _shared[name] = fn
-    return fn
-
-
+@functools.cache
 def mobius_gf() -> GraphicFunction:
     """mu, the *-inverse of the constant function 1."""
-    return _get("mu", lambda: star_inverse(_get("one", one_gf)))
+    return star_inverse(one_gf())
 
 
+@functools.cache
 def chromatic_gf() -> GraphicFunction:
     """The chromatic polynomial as q * (1_q * mu); cross-checked against
     deletion-contraction on every evaluation."""
+    base = convolve(one_q_gf(), mobius_gf())
 
-    def build():
-        base = convolve(one_q_gf(), mobius_gf())
+    def evaluate(g: Graph):
+        value = QPoly.q() * base(g)
+        if value != chromatic_polynomial(g):
+            raise AssertionError(f"contractad chromatic disagrees with deletion-contraction on {g!r}")
+        return value
 
-        def evaluate(g: Graph):
-            value = QPoly.q() * base(g)
-            if value != chromatic_polynomial(g):
-                raise AssertionError(
-                    f"contractad chromatic disagrees with deletion-contraction on {g!r}"
-                )
-            return value
-
-        return GraphicFunction("X(q)", evaluate)
-
-    return _get("chromatic", build)
+    return GraphicFunction("X(q)", evaluate)
 
 
+@functools.cache
 def gerst_hilbert_gf() -> GraphicFunction:
     """Homology Hilbert series of the little-disks contractad, in the
     convention where the value equals q^n * chi_G(1/q).
@@ -297,24 +271,20 @@ def gerst_hilbert_gf() -> GraphicFunction:
     Computed as 1 * (1_q . mu); the chromatic identity is asserted on every
     evaluation.  The total dimension is the value at q = -1.
     """
+    base = convolve(one_gf(), one_q_gf() * mobius_gf())
 
-    def build():
-        base = convolve(one_gf(), one_q_gf() * mobius_gf())
+    def evaluate(g: Graph):
+        value = base(g)
+        if not isinstance(value, QPoly):
+            value = QPoly.const(value)
+        chrom = chromatic_polynomial(g)
+        if value != chrom.reversed_q(g.n):
+            raise AssertionError(
+                f"little-disks Hilbert series is not the reversed chromatic polynomial on {g!r}"
+            )
+        return value
 
-        def evaluate(g: Graph):
-            value = base(g)
-            if not isinstance(value, QPoly):
-                value = QPoly.const(value)
-            chrom = chromatic_polynomial(g)
-            if value != chrom.reversed_q(g.n):
-                raise AssertionError(
-                    f"little-disks Hilbert series is not the reversed chromatic polynomial on {g!r}"
-                )
-            return value
-
-        return GraphicFunction("gerst", evaluate)
-
-    return _get("gerst", build)
+    return GraphicFunction("gerst", evaluate)
 
 
 def gerst_total_dim(g: Graph) -> int:
@@ -336,6 +306,7 @@ def _complex_block_factor(size: int) -> QPoly:
     return QPoly({2 * (k + 1): -1 for k in range(size - 2)})
 
 
+@functools.cache
 def wonderful_complex_gf() -> GraphicFunction:
     """Poincare polynomial sum_i dim H^{2i} q^i of the complex wonderful
     compactification, via the convolution recurrence
@@ -358,9 +329,10 @@ def wonderful_complex_gf() -> GraphicFunction:
                 raise AssertionError(f"Poincare palindromicity fails on {g!r}: {acc}")
         return acc
 
-    return _get("wonderful_C", lambda: recursive_gf("wonderful_C", step))
+    return recursive_gf("wonderful_C", step)
 
 
+@functools.cache
 def wonderful_real_gf() -> GraphicFunction:
     """sum_i (-q)^i dim H_i of the real locus, via the odd-block recurrence
 
@@ -377,44 +349,38 @@ def wonderful_real_gf() -> GraphicFunction:
         acc = -_partition_sum(g, -QPoly.one(), fn, weight, odd_only=True, skip=(g.n,))
         return acc.assert_integral("wonderful real value")
 
-    return _get("wonderful_R", lambda: recursive_gf("wonderful_R", step))
+    return recursive_gf("wonderful_R", step)
 
 
+@functools.cache
 def hyper_weighted_gf() -> GraphicFunction:
     """Weight-graded Hilbert series of the hypercommutative contractad:
     q * wonderful_complex + (1 - q) * eps."""
+    wc = wonderful_complex_gf()
 
-    def build():
-        wc = wonderful_complex_gf()
+    def evaluate(g: Graph):
+        value = QPoly.q() * wc(g)
+        if g.n == 1:
+            value = value + (QPoly.one() - QPoly.q())
+        return value
 
-        def evaluate(g: Graph):
-            value = QPoly.q() * wc(g)
-            if g.n == 1:
-                value = value + (QPoly.one() - QPoly.q())
-            return value
-
-        return GraphicFunction("hyper", evaluate)
-
-    return _get("hyper", build)
+    return GraphicFunction("hyper", evaluate)
 
 
+@functools.cache
 def grav_weighted_gf() -> GraphicFunction:
     """Weight-graded Hilbert series (at -q) of the gravity contractad:
     q/(q-1) * gerst - 1/(q-1) * eps, with the division exact by construction."""
+    gerst = gerst_hilbert_gf()
+    qmin1 = QPoly.q() - QPoly.one()
 
-    def build():
-        gerst = gerst_hilbert_gf()
-        qmin1 = QPoly.q() - QPoly.one()
+    def evaluate(g: Graph):
+        numerator = QPoly.q() * gerst(g)
+        if g.n == 1:
+            numerator = numerator - QPoly.one()
+        return numerator.divexact(qmin1)
 
-        def evaluate(g: Graph):
-            numerator = QPoly.q() * gerst(g)
-            if g.n == 1:
-                numerator = numerator - QPoly.one()
-            return numerator.divexact(qmin1)
-
-        return GraphicFunction("grav", evaluate)
-
-    return _get("grav", build)
+    return GraphicFunction("grav", evaluate)
 
 
 def chromatic_symfun_tree_gf(nvars: int | None = None) -> GraphicFunction:

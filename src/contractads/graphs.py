@@ -403,11 +403,8 @@ _canonical_cache: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
 
 def canonical_key(g: Graph) -> tuple:
-    """Relabelling-invariant key; identical for isomorphic graphs.
-
-    Disconnected graphs get the sorted tuple of component keys (needed by
-    deletion-contraction intermediates).
-    """
+    """Relabelling-invariant key; identical for isomorphic graphs.  Memoised
+    in `_canonical_cache` on the neighbour masks."""
     cached = _canonical_cache.get((g.n, g.adj_mask))
     if cached is not None:
         return cached
@@ -417,9 +414,6 @@ def canonical_key(g: Graph) -> tuple:
 
 
 def _canonical_key_uncached(g: Graph) -> tuple:
-    if not g.is_connected():
-        comps = connected_components(g)
-        return ("disc", tuple(sorted(canonical_key(subgraph(g, c)) for c in comps)))
     parts = complete_multipartite_parts(g)
     if parts is not None:
         return ("K", parts)
@@ -486,6 +480,8 @@ def _min_adjacency_mask(g: Graph) -> int:
 def canonical_graph(g: Graph) -> Graph:
     """A fixed representative of the isomorphism class, reconstructed from the
     canonical key.  Connected graphs only."""
+    if not g.is_connected():
+        raise ValueError("canonical representative is only defined for connected graphs")
     key = canonical_key(g)
     kind = key[0]
     if kind == "K":
@@ -494,9 +490,7 @@ def canonical_graph(g: Graph) -> Graph:
         return path_graph(key[1])
     if kind == "C":
         return cycle_graph(key[1])
-    if kind == "g":
-        return _from_pair_mask(key[1], key[2])
-    raise ValueError("canonical representative is only defined for connected graphs")
+    return _from_pair_mask(key[1], key[2])
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -536,17 +530,19 @@ _chromatic_cache: dict[tuple, QPoly] = {}
 
 def chromatic_polynomial(g: Graph) -> QPoly:
     """Exact chromatic polynomial by deletion-contraction, memoised on the
-    canonical key.  Disconnected graphs multiply over components."""
+    canonical key of each connected graph; a disconnected graph is the
+    product over its components."""
+    if not g.is_connected():
+        result = QPoly.one()
+        for comp in connected_components(g):
+            result = result * chromatic_polynomial(subgraph(g, comp))
+        return result
     key = canonical_key(g)
     cached = _chromatic_cache.get(key)
     if cached is not None:
         return cached
-    if g.m == 0:
-        result = QPoly.q(1) ** g.n
-    elif not g.is_connected():
-        result = QPoly.one()
-        for comp in connected_components(g):
-            result = result * chromatic_polynomial(subgraph(g, comp))
+    if g.n == 1:
+        result = QPoly.q(1)
     else:
         u, v = min(g.edges)
         rows = list(g.adj_mask)

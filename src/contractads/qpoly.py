@@ -8,6 +8,7 @@ integer arithmetic; results that must lie in Q[q] are certified with
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -287,11 +288,4 @@ def binomial_param(alpha: "QPoly | Scalar", k: int) -> QPoly:
     result = QPoly.one()
     for i in range(k):
         result = result * (a - i)
-    return result * Fraction(1, _factorial(k))
-
-
-def _factorial(n: int) -> int:
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    return f
+    return result * Fraction(1, math.factorial(k))

@@ -14,8 +14,9 @@ bases goes through the lower-triangular transition matrix.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable, Mapping
 
 from .qpoly import QPoly
@@ -57,38 +58,57 @@ def partition_factorial(lam: Partition) -> int:
     return f
 
 
-def _distinct_rearrangements(lam: Partition, nvars: int) -> list[tuple[int, ...]]:
-    padded = tuple(lam) + (0,) * (nvars - len(lam))
-    return sorted(set(permutations(padded)))
+def _arrangement_codes(lam: Partition, slots: int, base: int) -> list[int]:
+    """Every distinct arrangement of lam's parts and slots - len(lam) zeros,
+    read as the digits of a number in `base` with slot 0 leading, in
+    increasing order (the lexicographic order of the arrangements)."""
+    left = Counter(lam)
+    left[0] += slots - len(lam)
+    values = sorted(left)
+    codes: list[int] = []
 
+    def place(code: int, free: int):
+        if not free:
+            codes.append(code)
+            return
+        for v in values:
+            if left[v]:
+                left[v] -= 1
+                place(code * base + v, free - 1)
+                left[v] += 1
 
-_structure_cache: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
+    place(0, slots)
+    return codes
 
 
 def monomial_product(lam: Partition, mu: Partition, nvars: int) -> dict[Partition, int]:
     """m_lambda * m_mu in nvars variables, as integer m-coordinates."""
     if lam > mu:
         lam, mu = mu, lam
-    key = (lam, mu, nvars)
-    hit = _structure_cache.get(key)
-    if hit is not None:
-        return hit
+    return _monomial_product(lam, mu, nvars)
+
+
+@functools.cache
+def _monomial_product(lam: Partition, mu: Partition, nvars: int) -> dict[Partition, int]:
     if max(len(lam), len(mu)) > nvars:
-        _structure_cache[key] = {}
         return {}
-    counts: dict[tuple[int, ...], int] = {}
-    for a in _distinct_rearrangements(lam, nvars):
-        for b in _distinct_rearrangements(mu, nvars):
-            vec = tuple(x + y for x, y in zip(a, b))
-            counts[vec] = counts.get(vec, 0) + 1
-    # the product is symmetric, so the sorted representative carries the
-    # m-coordinate
+    # no m_nu of the product has more than len(lam) + len(mu) parts, and the
+    # coefficient of m_nu is the same in any number of variables >= len(nu)
+    slots = min(nvars, len(lam) + len(mu))
+    # no slot of a sum of two arrangements exceeds 2 * max part: digits never carry
+    base = 2 * max(lam + mu, default=0) + 1
+    right = _arrangement_codes(mu, slots, base)
+    counts = Counter(a + b for a in _arrangement_codes(lam, slots, base) for b in right)
+    # the product is symmetric, so the sorted arrangement (zeros last)
+    # carries the m-coordinate
     out: dict[Partition, int] = {}
-    for vec, c in counts.items():
-        srt = tuple(sorted((x for x in vec if x), reverse=True))
-        if vec == srt + (0,) * (nvars - len(srt)):
-            out[srt] = c
-    _structure_cache[key] = out
+    for code, c in counts.items():
+        last_first = []
+        for _ in range(slots):
+            code, digit = divmod(code, base)
+            last_first.append(digit)
+        if all(x <= y for x, y in zip(last_first, last_first[1:])):
+            out[tuple(x for x in reversed(last_first) if x)] = c
     return out
 
 

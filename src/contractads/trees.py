@@ -37,6 +37,7 @@ demand.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -263,16 +264,13 @@ class _TreeStore:
         return build(self.full, bool(self.trees[t]))
 
 
-_tree_cache: dict[tuple, _TreeStore] = {}
-
-
 def _tree_store(g: Graph, binary: bool) -> _TreeStore:
     _check_cap(g)
-    key = (g.n, g.adj_mask, binary)
-    store = _tree_cache.get(key)
-    if store is None:
-        store = _tree_cache[key] = _TreeStore(g, binary)
-    return store
+    return _cached_tree_store(g, binary)
+
+
+# a graph hashes and compares by its neighbour masks
+_cached_tree_store = functools.cache(_TreeStore)
 
 
 def enumerate_admissible_trees(g: Graph, stable_only: bool = True) -> list[AdmissibleTree]:

@@ -1,0 +1,80 @@
+"""`clear_caches()` empties every memo of the library and gives its memory back."""
+
+import contextlib
+import gc
+import io
+import sys
+import tracemalloc
+
+from contractads import cli, clear_caches, graphs
+from contractads.graphic_functions import mobius_gf
+from contractads.graphs import path_graph
+from contractads.symfunc import SymFunc
+from contractads.trees import stable_tree_count
+
+
+def _cached_functions() -> dict[str, object]:
+    return {
+        f"{module_name}.{name}": obj
+        for module_name, module in sorted(sys.modules.items())
+        if module_name.startswith("contractads.")
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+
+
+def _suite_work():
+    """What `verify --suite koszul` and `--suite chromatic` evaluate on the
+    classes with at most 5 vertices."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli._suite_koszul(5) == 0
+        assert cli._suite_chromatic(5) == 0
+
+
+def test_clear_caches_empties_every_cache():
+    _suite_work()
+    SymFunc.power_sum(1, 3) * SymFunc.power_sum(2, 3)
+    stable_tree_count(path_graph(4))
+    mu = mobius_gf()
+    cached = _cached_functions()
+    used = {
+        "contractads.graphic_functions.mobius_gf",
+        "contractads.graphic_functions.chromatic_gf",
+        "contractads.graphic_functions.hyper_weighted_gf",
+        "contractads.graphic_functions.grav_weighted_gf",
+        "contractads.symfunc._monomial_product",
+        "contractads.trees._cached_tree_store",
+    }
+    assert all(cached[name].cache_info().currsize for name in used)
+    assert graphs._canonical_cache and graphs._chromatic_cache
+
+    clear_caches()
+    assert not graphs._canonical_cache and not graphs._chromatic_cache
+    assert {name: fn.cache_info().currsize for name, fn in cached.items() if fn.cache_info().currsize} == {}
+    assert mobius_gf() is not mu
+
+
+def _traced_bytes() -> int:
+    """Bytes held by live allocations, leaving out those of tracemalloc and
+    of this file (the measurements themselves)."""
+    ignore = [tracemalloc.Filter(False, tracemalloc.__file__), tracemalloc.Filter(False, __file__)]
+    return sum(stat.size for stat in tracemalloc.take_snapshot().filter_traces(ignore).statistics("filename"))
+
+
+def test_clear_caches_releases_memory():
+    # one untraced round first: the standard library fills lazy caches of its
+    # own (abc registries, compiled patterns) on first use
+    _suite_work()
+    clear_caches()
+    tracemalloc.start()
+    try:
+        _traced_bytes()
+        sizes = []
+        for _ in range(2):
+            _suite_work()
+            clear_caches()
+            gc.collect()
+            sizes.append(_traced_bytes())
+    finally:
+        tracemalloc.stop()
+    assert sizes[1] <= sizes[0], sizes

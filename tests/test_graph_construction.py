@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from contractads import graphic_functions as gf
+from contractads import clear_caches, graphic_functions as gf
 from contractads import graphs
 from contractads.graphs import (
     Graph,
@@ -92,7 +92,7 @@ def test_quotients_match_their_definition(graphs_upto_5):
 
 
 def test_kernels_validate_no_graph(monkeypatch):
-    monkeypatch.setattr(gf, "_shared", {})
+    clear_caches()
     functions = [
         gf.mobius_gf(),
         gf.wonderful_complex_gf(),

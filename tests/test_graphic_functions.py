@@ -310,17 +310,6 @@ def test_mobius_is_linear_chromatic_coefficient_on_twelve_vertices():
     assert mobius_gf()(g) == chromatic_polynomial(g).coeff_q(1)
 
 
-# -- memo cap -----------------------------------------------------------------------------
-
-
-def test_memo_cap_env(monkeypatch):
-    monkeypatch.setenv("CONTRACTADS_MEMO_CAP", "1")
-    f = GraphicFunction("probe", lambda g: g.n)
-    assert f(path_graph(2)) == 2
-    assert f(path_graph(3)) == 3
-    assert len(f._memo) == 1
-
-
 _WRONG_CHROMATIC = """
 import sys
 import contractads.graphic_functions as gf
@@ -363,3 +352,36 @@ def test_library_has_no_bare_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"bare assert statements: {found}"
+
+
+def test_library_keeps_no_module_level_containers():
+    # every memo of the library is a functools cache, emptied by
+    # clear_caches(); only the two tables keyed by isomorphism class are dicts
+    package = Path(__file__).resolve().parents[1] / "src" / "contractads"
+    allowed = {"_canonical_cache", "_chromatic_cache"}
+
+    def empty(value):
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        if isinstance(value, (ast.List, ast.Set)):
+            return not value.elts
+        return (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set")
+            and not value.args
+            and not value.keywords
+        )
+
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if node.value is not None and empty(node.value):
+                found.extend(f"{path.name}:{node.lineno}" for t in targets if getattr(t, "id", None) not in allowed)
+    assert not found, f"module-level empty containers: {found}"

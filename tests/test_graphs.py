@@ -211,12 +211,37 @@ def test_contract_rejects_non_partitions():
 # -- canonical keys ----------------------------------------------------------------------
 
 
+def _labelled_graphs(max_vertices):
+    for n in range(1, max_vertices + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
 def test_canonical_key_invariant_under_relabeling(graphs_upto_5):
     for g in graphs_upto_5:
         key = canonical_key(g)
         for _ in range(20):
             perm = random.sample(range(g.n), g.n)
             assert canonical_key(relabel_graph(g, perm)) == key
+
+
+def test_canonical_key_on_disconnected_graphs():
+    rng = random.Random(20261018)
+    classes = {n: set() for n in range(1, 7)}
+    for g in _labelled_graphs(6):
+        if g.is_connected():
+            continue
+        key = canonical_key(g)
+        assert canonical_key(relabel_graph(g, rng.sample(range(g.n), g.n))) == key
+        classes[g.n].add(key)
+    # disconnected graphs up to isomorphism: A000088 minus A001349
+    assert [len(classes[n]) for n in range(1, 7)] == [0, 1, 2, 5, 13, 44]
+
+
+def test_canonical_graph_refuses_disconnected_graphs():
+    with pytest.raises(ValueError, match="connected"):
+        canonical_graph(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_canonical_graph_is_isomorphic_representative():
@@ -242,16 +267,24 @@ def test_canonical_key_cap():
 
 
 def coloring_count(g, colors):
-    total = 0
-    for assignment in range(colors**g.n):
-        digits = []
-        a = assignment
-        for _ in range(g.n):
-            digits.append(a % colors)
-            a //= colors
-        if all(digits[u] != digits[v] for u, v in g.edges):
-            total += 1
-    return total
+    """Proper colourings with the given number of colours, counted by giving
+    vertices 0, 1, ... in turn each colour that no earlier neighbour has."""
+    earlier = [[u for u in range(v) if g.has_edge(u, v)] for v in range(g.n)]
+    colour = []
+
+    def extend():
+        v = len(colour)
+        if v == g.n:
+            return 1
+        total = 0
+        for c in range(colors):
+            if all(colour[u] != c for u in earlier[v]):
+                colour.append(c)
+                total += extend()
+                colour.pop()
+        return total
+
+    return extend()
 
 
 @pytest.mark.parametrize(
@@ -263,6 +296,20 @@ def test_chromatic_against_coloring_oracle(g):
     chi = chromatic_polynomial(g)
     for k in range(0, g.n + 2):
         assert chi.substitute(k) == coloring_count(g, k)
+
+
+def test_chromatic_on_every_labelled_graph():
+    # disconnected graphs included: they multiply over their components
+    for g in _labelled_graphs(5):
+        chi = chromatic_polynomial(g)
+        for k in range(g.n + 1):
+            assert chi.substitute(k) == coloring_count(g, k), (g, k)
+
+
+def test_chromatic_of_long_path():
+    # deleting an edge of P_30 leaves two paths, which need no canonical search
+    q = QPoly.q()
+    assert chromatic_polynomial(path_graph(30)) == q * (q - 1) ** 29
 
 
 def test_chromatic_examples():

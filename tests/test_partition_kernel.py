@@ -15,7 +15,7 @@ partition loop, so both paths are held to the same reference."""
 import random
 from fractions import Fraction
 
-from contractads import graphic_functions as gf
+from contractads import clear_caches, graphic_functions as gf
 from contractads.graphic_functions import GraphicFunction
 from contractads.graphs import contract, induced_subgraph, relabel_graph
 from contractads.qpoly import QPoly
@@ -131,7 +131,7 @@ def _relabelled(graphs):
 
 def test_partition_sum_matches_frozenset_kernel(graphs_upto_6, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(gf, "_shared", {})
+        clear_caches()
         m.setattr(gf, "convolve", ref_convolve)
         m.setattr(gf, "star_inverse", ref_star_inverse)
         ref_c, ref_r = ref_wonderful_complex(), ref_wonderful_real()
@@ -139,7 +139,7 @@ def test_partition_sum_matches_frozenset_kernel(graphs_upto_6, monkeypatch):
         m.setattr(gf, "wonderful_real_gf", lambda: ref_r)
         reference = _named_functions()
     for graphs in (graphs_upto_6, _relabelled(graphs_upto_6)):
-        monkeypatch.setattr(gf, "_shared", {})
+        clear_caches()
         library = _named_functions()
         for g in graphs:
             for name, fn in library.items():

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from itertools import permutations
 
@@ -45,6 +46,41 @@ def test_monomial_product_against_raw_expansion(lam, mu):
     got = expand_to_exponents(a * b)
     expected = raw_multiply(expand_to_exponents(a), expand_to_exponents(b), nvars)
     assert got == expected
+
+
+@functools.cache
+def padded_arrangements(lam, nvars):
+    return sorted(set(permutations(lam + (0,) * (nvars - len(lam)))))
+
+
+def padded_monomial_product(lam, mu, nvars):
+    """m_lambda * m_mu by the expansion over all nvars slots, the reference
+    for the shorter expansion of `monomial_product`."""
+    if max(len(lam), len(mu)) > nvars:
+        return {}
+    counts = {}
+    for a in padded_arrangements(lam, nvars):
+        for b in padded_arrangements(mu, nvars):
+            vec = tuple(x + y for x, y in zip(a, b))
+            counts[vec] = counts.get(vec, 0) + 1
+    out = {}
+    for vec, c in counts.items():
+        srt = tuple(sorted((x for x in vec if x), reverse=True))
+        if vec == srt + (0,) * (nvars - len(srt)):
+            out[srt] = c
+    return out
+
+
+@pytest.mark.parametrize("nvars", [3, 8])
+def test_monomial_product_matches_padded_expansion(nvars):
+    parts = partitions_upto(8)
+    for lam in parts:
+        for mu in parts:
+            if sum(lam) + sum(mu) <= 8 and lam <= mu:
+                # same coordinates in the same order
+                assert list(monomial_product(lam, mu, nvars).items()) == list(
+                    padded_monomial_product(lam, mu, nvars).items()
+                ), (lam, mu)
 
 
 def test_vanishing_when_too_many_parts():
