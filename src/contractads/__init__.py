@@ -82,11 +82,13 @@ def clear_caches() -> None:
     """Empty every memo of the library, to bound the memory of a long-lived
     process: the canonical-key and chromatic tables of `graphs`, and every
     `functools.cache` of a loaded contractads module (among them the named
-    graphic functions with their memos, the Young structure constants and
-    the tree stores).  A graphic function the caller still holds keeps its
-    own memo."""
+    graphic functions, the Young structure constants and the tree stores).
+    The memo of every live graphic function is emptied in place, so one the
+    caller still holds recomputes its values."""
     _graphs._canonical_cache.clear()
     _graphs._chromatic_cache.clear()
+    for fn in list(GraphicFunction._instances):
+        fn._memo.clear()
     for name, module in list(_sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(module).values():

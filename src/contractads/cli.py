@@ -249,7 +249,7 @@ def _suite_chromatic(max_vertices: int) -> int:
 
 
 def _suite_oracle(max_vertices: int) -> int:
-    # refuse before the labelled-graph sweep, which is 2^C(n,2) graphs long
+    # above the tree cap, name that cap rather than the class-enumeration one
     if max_vertices > TREE_MAX_VERTICES:
         raise UsageError(
             f"the oracle suite is capped at --max-vertices {TREE_MAX_VERTICES} (tree enumeration), got {max_vertices}"

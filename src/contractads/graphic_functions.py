@@ -23,6 +23,7 @@ defined by a recurrence in itself is built with `recursive_gf`.
 from __future__ import annotations
 
 import functools
+import weakref
 from fractions import Fraction
 from typing import Callable
 
@@ -48,11 +49,15 @@ class GraphicFunction:
     deterministic), which is all the concurrency story this needs.
     """
 
+    # every live instance: `contractads.clear_caches()` empties their memos
+    _instances: weakref.WeakSet[GraphicFunction] = weakref.WeakSet()
+
     def __init__(self, name: str, evaluate: Callable[[Graph], object]):
         self.name = name
         self._evaluate = evaluate
         self._memo: dict = {}
         self.size_rule: Callable[[int], object] | None = None
+        GraphicFunction._instances.add(self)
 
     @classmethod
     def of_size(cls, name: str, rule: Callable[[int], object]) -> "GraphicFunction":

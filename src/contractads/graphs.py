@@ -37,8 +37,8 @@ from .qpoly import QPoly
 CANONICAL_MAX_VERTICES = 12
 CANONICAL_MAX_ORDERINGS = 4_000_000
 TREE_MAX_VERTICES = 8
-# connected_graphs_upto sweeps all 2^(k(k-1)/2) labelled graphs on k vertices:
-# 2^21 at 7 vertices, 2^28 at 8
+# bounds the verify suites over the classes, not their enumeration: Koszul
+# takes about a minute at 7 vertices, and 8 vertices have 11,117 classes
 CLASS_ENUMERATION_MAX_VERTICES = 7
 
 
@@ -364,12 +364,8 @@ def complete_multipartite_parts(g: Graph) -> tuple[int, ...] | None:
 
 
 def _is_path(g: Graph) -> bool:
-    if g.m != g.n - 1 or not g.is_connected():
-        return False
-    degs = sorted(g.degree(v) for v in range(g.n))
-    if g.n == 1:
-        return True
-    return degs[0] == degs[1] == 1 and all(d == 2 for d in degs[2:])
+    # a tree with no vertex of degree 3 or more
+    return g.m == g.n - 1 and g.is_connected() and all(g.degree(v) <= 2 for v in range(g.n))
 
 
 def _is_cycle(g: Graph) -> bool:
@@ -504,22 +500,27 @@ def connected_components(g: Graph) -> list[int]:
 
 
 def connected_graphs_upto(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected graphs on <= n vertices."""
+    """One representative per isomorphism class of connected graphs on <= n
+    vertices, by ascending vertex count.  A connected graph on k + 1 vertices
+    is one on k plus a vertex joined to a non-empty subset (take away a leaf
+    of a spanning tree), so each size grows from the classes of the one below."""
     if n > CLASS_ENUMERATION_MAX_VERTICES:
         raise ValueError(
             f"connected class enumeration is capped at {CLASS_ENUMERATION_MAX_VERTICES} vertices "
-            f"(got {n}); it sweeps every labelled graph"
+            f"(got {n}); the Koszul suite takes about a minute at 7 vertices, and 8 vertices have 11,117 classes"
         )
-    reps: dict[tuple, Graph] = {}
-    for k in range(1, n + 1):
-        for pairs in range(1 << k * (k - 1) // 2):
-            g = _from_pair_mask(k, pairs)
-            if not g.is_connected():
-                continue
-            key = canonical_key(g)
-            if key not in reps:
-                reps[key] = g
-    return list(reps.values())
+    if n < 1:
+        return []
+    levels = [[Graph._from_masks(1, (0,))]]
+    for k in range(1, n):
+        reps: dict[tuple, Graph] = {}
+        for h in levels[-1]:
+            for s in range(1, 1 << k):
+                rows = tuple(row | (s >> v & 1) << k for v, row in enumerate(h.adj_mask))
+                g = Graph._from_masks(k + 1, rows + (s,))
+                reps.setdefault(canonical_key(g), g)
+        levels.append(list(reps.values()))
+    return [g for level in levels for g in level]
 
 
 # -- chromatic polynomial and acyclic orientations --------------------------------

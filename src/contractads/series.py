@@ -166,10 +166,6 @@ class PowerSeries:
             out[m] = (-s) * inv0
         return PowerSeries(self.var, self.order, out)
 
-    def substitute_q(self, value: Scalar) -> list[Fraction]:
-        """Evaluate every coefficient at q = value."""
-        return [c.substitute(value) for c in self.coeffs]
-
     def __str__(self) -> str:
         parts = []
         for n, c in enumerate(self.coeffs):

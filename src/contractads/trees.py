@@ -77,10 +77,6 @@ class AdmissibleTree:
     def leaves(self) -> frozenset[int]:
         return frozenset(_bits(self.mask))
 
-    @property
-    def min_leaf(self) -> int:
-        return (self.mask & -self.mask).bit_length() - 1
-
     def is_leaf(self) -> bool:
         return self.leaf is not None
 

@@ -266,8 +266,6 @@ young_compose = series_compose
 young_reverse = series_reverse
 young_exp = exp_series
 young_log1p = log1p_series
-young_pow_param = pow_param_series
-young_scaled_arcsinh = scaled_arcsinh_series
 
 
 # -- closed forms -----------------------------------------------------------------

@@ -7,8 +7,8 @@ import sys
 import tracemalloc
 
 from contractads import cli, clear_caches, graphs
-from contractads.graphic_functions import mobius_gf
-from contractads.graphs import path_graph
+from contractads.graphic_functions import chromatic_gf, convolve, mobius_gf, one_q_gf
+from contractads.graphs import complete_graph, path_graph
 from contractads.symfunc import SymFunc
 from contractads.trees import stable_tree_count
 
@@ -52,6 +52,20 @@ def test_clear_caches_empties_every_cache():
     assert not graphs._canonical_cache and not graphs._chromatic_cache
     assert {name: fn.cache_info().currsize for name, fn in cached.items() if fn.cache_info().currsize} == {}
     assert mobius_gf() is not mu
+
+
+def test_clear_caches_empties_held_graphic_functions():
+    # functions the caller holds, and the 1_q * mu that chromatic_gf's
+    # evaluation captured in its closure
+    chrom = chromatic_gf()
+    lie_side = convolve(one_q_gf(), mobius_gf())
+    chrom(complete_graph(4))
+    lie_side(complete_graph(4))
+    (captured,) = [cell.cell_contents for cell in chrom._evaluate.__closure__ if hasattr(cell.cell_contents, "_memo")]
+    assert len(chrom._memo) == 1 and lie_side._memo and captured._memo
+
+    clear_caches()
+    assert chrom._memo == {} and lie_side._memo == {} and captured._memo == {}
 
 
 def _traced_bytes() -> int:

@@ -85,6 +85,14 @@ def test_verify_suites_pass(capsys):
         assert "PASS" in out
 
 
+def test_verify_chromatic_on_seven_vertices(capsys):
+    # every connected class up to 7 vertices: 1 + 1 + 2 + 6 + 21 + 112 + 853
+    code, out, err = run(capsys, "verify", "--suite", "chromatic", "--max-vertices", "7")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 996 and all(line.startswith("PASS chromatic ") for line in lines)
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "hilbert", "--target", "complex")
     assert code == 2
