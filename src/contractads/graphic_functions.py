@@ -11,13 +11,15 @@ the named functions used throughout: 1, 1_q, mu, the chromatic function, and
 the Hilbert series of the little-disks, wonderful (complex and real), gravity
 and hypercommutative contractads.
 
-The product, the star-inverse and the two wonderful recurrences are one
-partition sum, `_partition_sum`.  An outer factor of the vertex count alone
-(`GraphicFunction.of_size`: 1, eps, 1_x, 1_q) sees only the number of blocks:
-its sum is a subset recursion over vertex masks graded by block count,
-`_block_sums`, which builds no G/I; its star-inverse is solved on that table.
-Any other outer factor loops over `graphs.graph_partitions`.  A function
-defined by a recurrence in itself is built with `recursive_gf`.
+The product and the star-inverse are one partition sum, `_partition_sum`,
+a loop over `graphs.graph_partitions`.  An outer factor of the vertex count
+alone (`GraphicFunction.of_size`: 1, eps, 1_x, 1_q, 1_q^odd) sees only the
+number of blocks: its product is a subset recursion over vertex masks graded
+by block count, `_block_sums`, which builds no G/I, and its star-inverse is
+solved on that table, `_size_inverse`.  A product f * g whose factors are a
+function of the vertex count and the star-inverse of one is read off the
+table that solves g at G.  Both wonderful series are of that form: their
+functional equations read value * phi = 1, so value = 1 * starinv(phi).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .qpoly import QPoly
+from .series import _coeff
 from .graphs import (
     Graph,
     canonical_key,
@@ -57,6 +60,8 @@ class GraphicFunction:
         self._evaluate = evaluate
         self._memo: dict = {}
         self.size_rule: Callable[[int], object] | None = None
+        # on the star-inverse of a function of the vertex count, that rule
+        self.inverted_rule: Callable[[int], object] | None = None
         GraphicFunction._instances.add(self)
 
     @classmethod
@@ -99,13 +104,6 @@ class GraphicFunction:
         return convolve(self, other)
 
 
-def recursive_gf(name: str, step: Callable[[Graph, GraphicFunction], object]) -> GraphicFunction:
-    """The graphic function fn with fn(G) = step(G, fn); step may call fn on
-    graphs with fewer vertices."""
-    fn = GraphicFunction(name, lambda g: step(g, fn))
-    return fn
-
-
 def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, table: dict):
     """The list whose entry k is the sum over partitions of the vertex mask
     `remaining` into k tubes of prod weight(B), or
@@ -137,37 +135,38 @@ def _graded_total(start, rule, graded: list, skip=()):
     return total
 
 
-def _partition_sum(graph: Graph, start, outer, inner, odd_only: bool = False, skip=()):
-    """start + sum over graph partitions I (with odd blocks only, if
-    `odd_only`) of outer(G/I) * prod_{B in I} inner(G, B), B a block mask.
-    Partitions with a block count in `skip` are left out, and so is G/I
-    whenever the block product is zero.  An outer factor of the vertex count
-    reads the sum over all partitions off `_block_sums`, fetching inner once
-    per tube."""
-    if outer.size_rule is not None and not odd_only:
-        weight = functools.cache(lambda block: inner(graph, block))
-        graded = _block_sums(graph, weight, graph.full_mask(), {0: [1]})
-        return _graded_total(start, outer.size_rule, graded, skip)
+def _partition_sum(graph: Graph, start, outer, inner, skip=()):
+    """start + sum over graph partitions I of outer(G/I) * prod_{B in I}
+    inner(G|_B).  Partitions with a block count in `skip` are left out, and
+    so is G/I whenever the block product is zero."""
     total = start
-    for blocks in graph_partitions(graph, odd_only):
+    for blocks in graph_partitions(graph):
         if len(blocks) in skip:
             continue
-        weight = inner(graph, blocks[0])
+        weight = inner(subgraph(graph, blocks[0]))
         for block in blocks[1:]:
             if not weight:
                 break
-            weight = weight * inner(graph, block)
+            weight = weight * inner(subgraph(graph, block))
         if weight:
             total = total + outer(quotient(graph, blocks)) * weight
     return total
 
 
 def convolve(f: GraphicFunction, g: GraphicFunction) -> GraphicFunction:
-    """Schmitt product f * g."""
-    return GraphicFunction(
-        f"({f.name}*{g.name})",
-        lambda graph: _partition_sum(graph, 0, f, lambda G, block: g(subgraph(G, block))),
-    )
+    """Schmitt product f * g.  With f a function of the vertex count the sum
+    is graded by block count, and read off the table that solves g at G when
+    g is the star-inverse of one."""
+    if f.size_rule is None:
+        evaluate = lambda graph: _partition_sum(graph, 0, f, g)
+    elif g.inverted_rule is not None:
+        evaluate = lambda graph: _graded_total(0, f.size_rule, _size_inverse(graph, g.inverted_rule))
+    else:
+        def evaluate(graph: Graph):
+            weight = functools.cache(lambda block: g(subgraph(graph, block)))
+            return _graded_total(0, f.size_rule, _block_sums(graph, weight, graph.full_mask(), {0: [1]}))
+
+    return GraphicFunction(f"({f.name}*{g.name})", evaluate)
 
 
 def star_inverse(f: GraphicFunction) -> GraphicFunction:
@@ -179,29 +178,34 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
     """
     if f(path_graph(1)) != 1:
         raise ValueError("star inverse needs f(P_1) = 1")
+    name = f"starinv({f.name})"
     if f.size_rule is not None:
-        return GraphicFunction(f"starinv({f.name})", lambda graph: _size_inverse(graph, f.size_rule))
+        inverse = GraphicFunction(name, lambda graph: _size_inverse(graph, f.size_rule)[1])
+        inverse.inverted_rule = f.size_rule
+        return inverse
 
-    def step(graph: Graph, inverse: GraphicFunction):
+    def evaluate(graph: Graph):
         if graph.n == 1:
             return 1
-        inner = lambda G, block: inverse(subgraph(G, block))
-        return -_partition_sum(graph, f(graph), f, inner, skip=(1, graph.n))
+        return -_partition_sum(graph, f(graph), f, inverse, skip=(1, graph.n))
 
-    return recursive_gf(f"starinv({f.name})", step)
+    inverse = GraphicFunction(name, evaluate)
+    return inverse
 
 
-def _size_inverse(graph: Graph, rule: Callable[[int], object]):
-    """The star-inverse of G -> rule(|G|) at G, solved on every tube T of G,
+def _size_inverse(graph: Graph, rule: Callable[[int], object]) -> list:
+    """The star-inverse g of G -> rule(|G|), solved on every tube T of G,
     smallest first: in the partition sum of T the single block T, weighted by
-    the unknown value at T, is the only term not yet in the table."""
+    the unknown g(T), is the only term not yet in the table.  Returns the
+    table's graded block sums at the full mask: entry k sums prod g(B) over
+    the partitions of G into k tubes, so entry 1 is g(G)."""
     values: dict[int, object] = {1 << v: 1 for v in range(graph.n)}
     table: dict[int, list] = {0: [1]}
     for tube in sorted((t for t in tube_masks(graph) if t not in values), key=int.bit_count):
         size = bin(tube).count("1")
         graded = _block_sums(graph, values.get, tube, table)
         graded[1] = values[tube] = -_graded_total(rule(size), rule, graded, skip=(1, size))
-    return values[graph.full_mask()]
+    return _block_sums(graph, values.get, graph.full_mask(), table)
 
 
 # -- named graphic functions -------------------------------------------------------
@@ -279,9 +283,7 @@ def gerst_hilbert_gf() -> GraphicFunction:
     base = convolve(one_gf(), one_q_gf() * mobius_gf())
 
     def evaluate(g: Graph):
-        value = base(g)
-        if not isinstance(value, QPoly):
-            value = QPoly.const(value)
+        value = _coeff(base(g))
         chrom = chromatic_polynomial(g)
         if value != chrom.reversed_q(g.n):
             raise AssertionError(
@@ -314,47 +316,43 @@ def _complex_block_factor(size: int) -> QPoly:
 @functools.cache
 def wonderful_complex_gf() -> GraphicFunction:
     """Poincare polynomial sum_i dim H^{2i} q^i of the complex wonderful
-    compactification, via the convolution recurrence
+    compactification.  Its convolution equation
 
-        sum over partitions I of value(G/I) * prod (q - q^{|B|-1})/(q-1) = 1,
+        sum over partitions I of value(G/I) * prod_{B in I} phi(|B|) = 1,
+        phi(n) = (q - q^{n-1})/(q-1),
 
-    with value(P_1) = 1.  Partitions containing a 2-block contribute nothing.
+    reads value * phi = 1 with phi(P_1) = 1, so value = 1 * starinv(phi).
     Every value is asserted palindromic of degree n - 2 (Poincare duality).
     """
+    base = convolve(one_gf(), star_inverse(GraphicFunction.of_size("phi", _complex_block_factor)))
 
-    factor = lambda _, block: _complex_block_factor(bin(block).count("1"))
-
-    def step(g: Graph, fn: GraphicFunction):
-        # the all-singletons term is value(G) itself: value(G) = 1 - (the rest)
-        acc = -_partition_sum(g, -QPoly.one(), fn, factor, skip=(g.n,))
-        acc.assert_integral("wonderful complex value")
+    def evaluate(g: Graph):
+        value = _coeff(base(g)).assert_integral("wonderful complex value")
         deg = g.n - 2
         for k in range(0, deg + 1):
-            if acc.coeff_q(k) != acc.coeff_q(deg - k):
-                raise AssertionError(f"Poincare palindromicity fails on {g!r}: {acc}")
-        return acc
+            if value.coeff_q(k) != value.coeff_q(deg - k):
+                raise AssertionError(f"Poincare palindromicity fails on {g!r}: {value}")
+        return value
 
-    return recursive_gf("wonderful_C", step)
+    return GraphicFunction("wonderful_C", evaluate)
 
 
 @functools.cache
 def wonderful_real_gf() -> GraphicFunction:
-    """sum_i (-q)^i dim H_i of the real locus, via the odd-block recurrence
+    """sum_i (-q)^i dim H_i of the real locus.  Its odd-block equation
 
-        sum over odd partitions I of value(G/I) * sqrt(q)^(n - |I|) = 1.
+        sum over odd partitions I of value(G/I) * sqrt(q)^(n - |I|) = 1
 
-    Blocks all odd forces n = |I| mod 2, so only integer powers of q occur;
-    integrality is asserted.
+    reads value * 1_q^odd = 1 (the weight is prod_B sqrt(q)^(|B| - 1)), so
+    value = 1 * starinv(1_q^odd).  Only integer powers of q occur, as blocks
+    all odd force n = |I| mod 2; integrality is asserted.
     """
+    base = convolve(one_gf(), star_inverse(one_q_odd_gf()))
 
-    # sqrt(q)^(n - |I|) is the product of sqrt(q)^(|B| - 1) over the blocks
-    weight = lambda _, block: QPoly.sqrt_q(bin(block).count("1") - 1)
+    def evaluate(g: Graph):
+        return _coeff(base(g)).assert_integral("wonderful real value")
 
-    def step(g: Graph, fn: GraphicFunction):
-        acc = -_partition_sum(g, -QPoly.one(), fn, weight, odd_only=True, skip=(g.n,))
-        return acc.assert_integral("wonderful real value")
-
-    return recursive_gf("wonderful_R", step)
+    return GraphicFunction("wonderful_R", evaluate)
 
 
 @functools.cache

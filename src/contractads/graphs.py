@@ -244,27 +244,24 @@ def enumerate_tubes(g: Graph) -> list[frozenset[int]]:
     return [frozenset(_bits(m)) for m in sorted(tube_masks(g))]
 
 
-def _partition_masks(g: Graph, remaining: int, odd_only: bool) -> Iterator[tuple[int, ...]]:
+def _partition_masks(g: Graph, remaining: int) -> Iterator[tuple[int, ...]]:
     if remaining == 0:
         yield ()
         return
     v = (remaining & -remaining).bit_length() - 1
     for block in connected_subset_masks(g, remaining, v):
-        if odd_only and bin(block).count("1") % 2 == 0:
-            continue
-        for rest in _partition_masks(g, remaining & ~block, odd_only):
+        for rest in _partition_masks(g, remaining & ~block):
             yield (block,) + rest
 
 
-def graph_partitions(g: Graph, odd_only: bool = False) -> Iterator[tuple[int, ...]]:
-    """Duplicate-free enumeration of graph partitions (with `odd_only`, of
-    those whose blocks all have odd size), each a tuple of block masks
-    ordered by lowest vertex.
+def graph_partitions(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Duplicate-free enumeration of graph partitions, each a tuple of block
+    masks ordered by lowest vertex.
 
     Recursion always peels off the tube containing the smallest uncovered
     vertex, so every partition is produced exactly once.
     """
-    return _partition_masks(g, g.full_mask(), odd_only)
+    return _partition_masks(g, g.full_mask())
 
 
 def quotient(g: Graph, blocks: Sequence[int]) -> Graph:

@@ -223,7 +223,7 @@ class _TreeStore:
                         continue
                     found.extend(grow((left, right), (subtrees(left), subtrees(right))))
             else:
-                for blocks in _partition_masks(g, mask, False):
+                for blocks in _partition_masks(g, mask):
                     if len(blocks) > 1:  # the root needs at least two children
                         found.extend(grow(blocks, [subtrees(b) for b in blocks]))
             memo[mask] = found
@@ -269,18 +269,13 @@ def _tree_store(g: Graph, binary: bool) -> _TreeStore:
 _cached_tree_store = functools.cache(_TreeStore)
 
 
-def enumerate_admissible_trees(g: Graph, stable_only: bool = True) -> list[AdmissibleTree]:
+def enumerate_admissible_trees(g: Graph) -> list[AdmissibleTree]:
     """All stable admissible trees, by choosing the root partition and
     recursing into the blocks.
 
     Dropping stability would admit chains of single-child vertices and make
     the set infinite, so only the stable enumeration exists.
     """
-    if not stable_only:
-        raise ValueError(
-            "non-stable admissible trees form an infinite set (unary chains); "
-            "only the stable enumeration is supported"
-        )
     store = _tree_store(g, False)
     return [store.tree(t) for t in range(len(store.trees))]
 

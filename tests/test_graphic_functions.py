@@ -4,10 +4,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 
+from contractads import clear_caches
+from contractads.family_series import closed_form
 from contractads.qpoly import QPoly
 from contractads.graphs import (
     Graph,
@@ -21,6 +24,7 @@ from contractads.graphs import (
 )
 from contractads.graphic_functions import (
     GraphicFunction,
+    _complex_block_factor,
     chromatic_gf,
     chromatic_symfun_tree_gf,
     convolve,
@@ -218,6 +222,20 @@ def test_real_recurrence_uses_odd_blocks(graphs_upto_5):
         assert pairing(g) == QPoly.one()
 
 
+def test_complex_recurrence_uses_the_block_factor(graphs_upto_5):
+    # chi_C * phi = 1 on every graph, phi(n) = (q - q^(n-1))/(q - 1)
+    pairing = convolve(wonderful_complex_gf(), GraphicFunction.of_size("phi", _complex_block_factor))
+    for g in graphs_upto_5:
+        assert pairing(g) == QPoly.one()
+
+
+def test_wonderful_series_on_k10_match_the_closed_forms():
+    # through the partition loop this would walk Bell(10) = 115,975 partitions
+    g = complete_graph(10)
+    assert wonderful_complex_gf()(g) == factorial(10) * closed_form("complex", "K", 10).coefficient(10)
+    assert wonderful_real_gf()(g) == factorial(10) * closed_form("real", "K", 10).coefficient(10)
+
+
 # -- chromatic symmetric function on trees ---------------------------------------------------
 
 
@@ -278,18 +296,42 @@ def test_chromatic_symfun_rejects_non_trees():
 # -- functions of the vertex count ------------------------------------------------------
 
 
+def _generic_graph(n, m, seed):
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = Graph(n, sorted(edges))
+    assert canonical_key(g)[0] == "g"
+    return g
+
+
 def test_size_functions_skip_the_quotient(monkeypatch):
     import contractads.graphic_functions as gf
 
     def refuse(*args):
-        raise AssertionError("G/I built for an outer factor of the vertex count")
+        raise AssertionError("G/I or G|_B built for an outer factor of the vertex count")
 
+    clear_caches()  # no value may come from an earlier memo
     monkeypatch.setattr(gf, "quotient", refuse)
     g = complete_graph(6)
     assert convolve(one_gf(), unit_gf())(g) == 1
     assert convolve(one_param_gf(2), one_gf())(path_graph(4)) == 27  # (1 + 2)^3
     monkeypatch.setattr(gf, "subgraph", refuse)
     assert star_inverse(one_gf())(g) == -120
+    # 1 * starinv(phi) and 1_q * mu: both factors are read off the tube table of G
+    graphs = [g, star_graph(5), cycle_graph(6), _generic_graph(8, 13, seed=20261019)]
+    chromatic_base = convolve(one_q_gf(), mobius_gf())
+    values = [(wonderful_complex_gf()(h), wonderful_real_gf()(h), chromatic_base(h)) for h in graphs]
+    monkeypatch.undo()
+    # the functional equations, through the partition loop
+    complex_pairing = convolve(wonderful_complex_gf(), GraphicFunction.of_size("phi", _complex_block_factor))
+    real_pairing = convolve(wonderful_real_gf(), one_q_odd_gf())
+    for h, (complex_value, real_value, chromatic_value) in zip(graphs, values):
+        assert complex_pairing(h) == QPoly.one() and real_pairing(h) == QPoly.one()
+        assert wonderful_complex_gf()(h) == complex_value and wonderful_real_gf()(h) == real_value
+        assert q * chromatic_value == chromatic_polynomial(h)
 
 
 def test_mobius_k12_through_the_cli(capsys):
@@ -300,13 +342,7 @@ def test_mobius_k12_through_the_cli(capsys):
 
 
 def test_mobius_is_linear_chromatic_coefficient_on_twelve_vertices():
-    rng = random.Random(20261018)
-    edges = {(rng.randrange(v), v) for v in range(1, 12)}  # a spanning tree
-    while len(edges) < 18:
-        u, v = sorted(rng.sample(range(12), 2))
-        edges.add((u, v))
-    g = Graph(12, sorted(edges))
-    assert canonical_key(g)[0] == "g"
+    g = _generic_graph(12, 18, seed=20261018)
     assert mobius_gf()(g) == chromatic_polynomial(g).coeff_q(1)
 
 

@@ -129,11 +129,6 @@ def test_partition_count_eight_vertices():
     assert sum(1 for _ in graph_partitions(complete_graph(8))) == BELL[8]
 
 
-def test_odd_partitions_of_triangle():
-    odd = list(graph_partitions(complete_graph(3), odd_only=True))
-    assert len(odd) == 2  # singletons and the whole set
-
-
 def test_partitions_of_p3():
     assert sum(1 for _ in graph_partitions(path_graph(3))) == 4
 

@@ -55,11 +55,6 @@ def test_admissibility_of_enumerated_trees():
             assert node.arity() >= 2
 
 
-def test_non_stable_enumeration_rejected():
-    with pytest.raises(ValueError, match="unary"):
-        enumerate_admissible_trees(path_graph(3), stable_only=False)
-
-
 def test_tree_cap():
     # one vertex above the cap: refused before any enumeration
     with pytest.raises(ValueError, match="capped"):
