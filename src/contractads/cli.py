@@ -179,6 +179,8 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.order < 1:
+        raise UsageError(f"--order must be a positive integer, got {args.order}")
     if args.from_recurrence:
         fn = wonderful_complex_gf() if args.target == "complex" else wonderful_real_gf()
         s = family_series(fn, args.family, args.order).series

@@ -16,10 +16,10 @@ a loop over `graphs.graph_partitions`.  An outer factor of the vertex count
 alone (`GraphicFunction.of_size`: 1, eps, 1_x, 1_q, 1_q^odd) sees only the
 number of blocks: its product is a subset recursion over vertex masks graded
 by block count, `_block_sums`, which builds no G/I, and its star-inverse is
-solved on that table, `_size_inverse`.  A product f * g whose factors are a
-function of the vertex count and the star-inverse of one is read off the
-table that solves g at G.  Both wonderful series are of that form: their
-functional equations read value * phi = 1, so value = 1 * starinv(phi).
+solved on that table, `_size_inverse`.  The inner factor gives its values
+on the tubes of G by `GraphicFunction.tube_table`: a function of the vertex
+count by popcount, the star-inverse of one from the table that solves it at
+G, any other through its memo.  Both wonderful series are 1 * starinv(phi).
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ class GraphicFunction:
         self._evaluate = evaluate
         self._memo: dict = {}
         self.size_rule: Callable[[int], object] | None = None
-        # on the star-inverse of a function of the vertex count, that rule
-        self.inverted_rule: Callable[[int], object] | None = None
         GraphicFunction._instances.add(self)
 
     @classmethod
@@ -69,7 +67,13 @@ class GraphicFunction:
         """G -> rule(number of vertices of G), with the rule kept as `size_rule`."""
         fn = cls(name, lambda g: rule(g.n))
         fn.size_rule = rule
+        fn.tube_table = lambda graph: (functools.cache(lambda tube: rule(tube.bit_count())), {0: [1]})
         return fn
+
+    def tube_table(self, graph: Graph) -> tuple[Callable[[int], object], dict]:
+        """(weight, table): this function's value on each tube mask of `graph`,
+        and a `_block_sums` memo over it.  Here each tube is fetched by memo."""
+        return functools.cache(lambda tube: self(subgraph(graph, tube))), {0: [1]}
 
     def __call__(self, g: Graph):
         if not g.is_connected():
@@ -99,9 +103,6 @@ class GraphicFunction:
 
     def scale(self, value) -> "GraphicFunction":
         return GraphicFunction(f"({value})*{self.name}", lambda g: value * self(g))
-
-    def star(self, other: "GraphicFunction") -> "GraphicFunction":
-        return convolve(self, other)
 
 
 def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, table: dict):
@@ -155,16 +156,13 @@ def _partition_sum(graph: Graph, start, outer, inner, skip=()):
 
 def convolve(f: GraphicFunction, g: GraphicFunction) -> GraphicFunction:
     """Schmitt product f * g.  With f a function of the vertex count the sum
-    is graded by block count, and read off the table that solves g at G when
-    g is the star-inverse of one."""
+    is graded by block count, over the tube table of g at G."""
     if f.size_rule is None:
         evaluate = lambda graph: _partition_sum(graph, 0, f, g)
-    elif g.inverted_rule is not None:
-        evaluate = lambda graph: _graded_total(0, f.size_rule, _size_inverse(graph, g.inverted_rule))
     else:
         def evaluate(graph: Graph):
-            weight = functools.cache(lambda block: g(subgraph(graph, block)))
-            return _graded_total(0, f.size_rule, _block_sums(graph, weight, graph.full_mask(), {0: [1]}))
+            weight, table = g.tube_table(graph)
+            return _graded_total(0, f.size_rule, _block_sums(graph, weight, graph.full_mask(), table))
 
     return GraphicFunction(f"({f.name}*{g.name})", evaluate)
 
@@ -180,8 +178,8 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
         raise ValueError("star inverse needs f(P_1) = 1")
     name = f"starinv({f.name})"
     if f.size_rule is not None:
-        inverse = GraphicFunction(name, lambda graph: _size_inverse(graph, f.size_rule)[1])
-        inverse.inverted_rule = f.size_rule
+        inverse = GraphicFunction(name, lambda graph: _size_inverse(graph, f.size_rule)[0](graph.full_mask()))
+        inverse.tube_table = lambda graph: _size_inverse(graph, f.size_rule)
         return inverse
 
     def evaluate(graph: Graph):
@@ -193,19 +191,19 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
     return inverse
 
 
-def _size_inverse(graph: Graph, rule: Callable[[int], object]) -> list:
+def _size_inverse(graph: Graph, rule: Callable[[int], object]) -> tuple[Callable[[int], object], dict]:
     """The star-inverse g of G -> rule(|G|), solved on every tube T of G,
     smallest first: in the partition sum of T the single block T, weighted by
     the unknown g(T), is the only term not yet in the table.  Returns the
-    table's graded block sums at the full mask: entry k sums prod g(B) over
-    the partitions of G into k tubes, so entry 1 is g(G)."""
+    tube table of g at G: `values.get`, mapping each tube mask to g on it,
+    and the `_block_sums` table over it."""
     values: dict[int, object] = {1 << v: 1 for v in range(graph.n)}
     table: dict[int, list] = {0: [1]}
     for tube in sorted((t for t in tube_masks(graph) if t not in values), key=int.bit_count):
         size = bin(tube).count("1")
         graded = _block_sums(graph, values.get, tube, table)
         graded[1] = values[tube] = -_graded_total(rule(size), rule, graded, skip=(1, size))
-    return _block_sums(graph, values.get, graph.full_mask(), table)
+    return values.get, table
 
 
 # -- named graphic functions -------------------------------------------------------
@@ -399,8 +397,8 @@ def chromatic_symfun_tree_gf(nvars: int | None = None) -> GraphicFunction:
         if g.m != g.n - 1:
             raise ValueError("the chromatic symmetric function formula is valid on trees only")
         D = max(nvars or 0, g.n)
-        signed_p = GraphicFunction(
-            "(1_-1 . p)", lambda h: SymFunc.power_sum(h.n, D).scale(Fraction((-1) ** (h.n - 1)))
+        signed_p = GraphicFunction.of_size(
+            "(1_-1 . p)", lambda n: SymFunc.power_sum(n, D).scale(Fraction((-1) ** (n - 1)))
         )
         return convolve(one_gf(), signed_p)(g)
 

@@ -132,6 +132,18 @@ def test_verify_rejects_non_positive_max_vertices(capsys):
         assert "--max-vertices" in err
 
 
+def test_series_rejects_non_positive_order(capsys):
+    # the closed form and the recurrence refuse the same orders
+    for order in ("-1", "0"):
+        for extra in ((), ("--from-recurrence",)):
+            code, out, err = run(
+                capsys, "series", "--family", "path", "--target", "complex", "--order", order, *extra
+            )
+            assert code == 2
+            assert out == ""
+            assert "--order" in err
+
+
 def test_verify_oracle_refuses_bound_above_tree_cap(capsys):
     code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-vertices", "9")
     assert code == 2

@@ -320,6 +320,11 @@ def test_size_functions_skip_the_quotient(monkeypatch):
     assert convolve(one_param_gf(2), one_gf())(path_graph(4)) == 27  # (1 + 2)^3
     monkeypatch.setattr(gf, "subgraph", refuse)
     assert star_inverse(one_gf())(g) == -120
+    # sum_k S(6, k) q^(k-1): the inner 1 is read off the popcount too
+    assert convolve(one_q_gf(), one_gf())(g) == QPoly({0: 1, 2: 31, 4: 90, 6: 65, 8: 15, 10: 1})
+    trees = [path_graph(6), star_graph(5), Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5)])]
+    xsym = chromatic_symfun_tree_gf(nvars=6)
+    tree_values = [xsym(t) for t in trees]
     # 1 * starinv(phi) and 1_q * mu: both factors are read off the tube table of G
     graphs = [g, star_graph(5), cycle_graph(6), _generic_graph(8, 13, seed=20261019)]
     chromatic_base = convolve(one_q_gf(), mobius_gf())
@@ -332,6 +337,8 @@ def test_size_functions_skip_the_quotient(monkeypatch):
         assert complex_pairing(h) == QPoly.one() and real_pairing(h) == QPoly.one()
         assert wonderful_complex_gf()(h) == complex_value and wonderful_real_gf()(h) == real_value
         assert q * chromatic_value == chromatic_polynomial(h)
+    for t, value in zip(trees, tree_values):
+        assert value == coloring_symfun(t, 6)
 
 
 def test_mobius_k12_through_the_cli(capsys):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from contractads import clear_caches, graphic_functions as gf
 from contractads.graphic_functions import GraphicFunction
-from contractads.graphs import contract, induced_subgraph, relabel_graph
+from contractads.graphs import contract, induced_subgraph, relabel_graph, subgraph, tube_masks
 from contractads.qpoly import QPoly
 
 
@@ -119,6 +119,7 @@ def _named_functions():
         "hyper*grav": gf.convolve(gf.hyper_weighted_gf(), gf.grav_weighted_gf()),
         "eps*eps": gf.convolve(gf.unit_gf(), gf.unit_gf()),
         "1_(1/2)*mu": gf.convolve(gf.one_param_gf(Fraction(1, 2)), mu),
+        "1_q*1": gf.convolve(gf.one_q_gf(), gf.one_gf()),
         "starinv(1_q)": gf.star_inverse(gf.one_q_gf()),
         "starinv(eps)": gf.star_inverse(gf.unit_gf()),
     }
@@ -160,3 +161,24 @@ def test_chromatic_symmetric_function_matches_frozenset_kernel(graphs_upto_6, mo
             got = library(t)
             assert got == value, t
             assert type(got) is type(value), (t, type(got), type(value))
+
+
+def test_tube_table_agrees_with_the_function_on_every_tube(graphs_upto_6):
+    # the weight of a tube table is the function on each tube, and its block
+    # sums at the full mask hold the value at G in entry 1
+    clear_caches()
+    functions = {
+        "mu": gf.mobius_gf(),
+        "starinv(phi)": gf.star_inverse(GraphicFunction.of_size("phi", gf._complex_block_factor)),
+        "starinv(1_q^odd)": gf.star_inverse(gf.one_q_odd_gf()),
+        "1_q": gf.one_q_gf(),
+        "1_q.mu": gf.one_q_gf() * gf.mobius_gf(),
+    }
+    for g in graphs_upto_6 + _relabelled(graphs_upto_6):
+        for name, fn in functions.items():
+            weight, table = fn.tube_table(g)
+            for tube in tube_masks(g):
+                got, want = weight(tube), fn(subgraph(g, tube))
+                assert got == want, (name, g, tube)
+                assert type(got) is type(want), (name, g, tube, type(got), type(want))
+            assert gf._block_sums(g, weight, g.full_mask(), table)[1] == fn(g), (name, g)
