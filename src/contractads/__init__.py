@@ -1,7 +1,8 @@
 """Exact Hilbert-series calculus for graph-indexed operadic structures.
 
-The building blocks: exact polynomials in q^(1/2) (:mod:`.qpoly`), truncated
-power series (:mod:`.series`), graphs with tubes / partitions / contraction
+The building blocks: exact polynomials in q^(1/2) (:mod:`.qpoly`), one
+sparse core for every truncated series and the series engine on it
+(:mod:`.series`), graphs with tubes / partitions / contraction
 (:mod:`.graphs`), the convolution algebra of graphic functions
 (:mod:`.graphic_functions`), one-parameter family series and closed forms
 (:mod:`.family_series`), symmetric-function valued Young series

@@ -28,7 +28,9 @@ from fractions import Fraction
 from .qpoly import QPoly
 from .series import PowerSeries
 from .graphs import (
+    SERIES_MAX_ORDER,
     TREE_MAX_VERTICES,
+    YOUNG_MAX_DEGREE,
     Graph,
     canonical_key,
     connected_graphs_upto,
@@ -179,8 +181,8 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.order < 1:
-        raise UsageError(f"--order must be a positive integer, got {args.order}")
+    if not 1 <= args.order <= SERIES_MAX_ORDER:
+        raise UsageError(f"--order must be between 1 and {SERIES_MAX_ORDER}, got {args.order}")
     if args.from_recurrence:
         fn = wonderful_complex_gf() if args.target == "complex" else wonderful_real_gf()
         s = family_series(fn, args.family, args.order).series
@@ -194,6 +196,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_young(args) -> int:
+    if not 1 <= args.degree <= YOUNG_MAX_DEGREE:
+        raise UsageError(f"--degree must be between 1 and {YOUNG_MAX_DEGREE}, got {args.degree}")
     if args.target == "chromatic":
         series = young_closed_form("chromatic", args.degree)
     elif args.target == "complex":

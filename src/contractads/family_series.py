@@ -175,7 +175,7 @@ def _closed_complex(tag: str, order: int) -> PowerSeries:
         radicand = u + u + u * u - t.scale(4)  # (1+u)^2 - 4t = 1 + radicand
         root = pow_param_series(radicand, Fraction(1, 2))
         numerator = PowerSeries.constant("t", order, one) - u - root
-        return numerator.divexact_scalar(q * 2)
+        return numerator.divexact(q * 2)
     if tag == "St":
         # (q-1)/(q - e^{(q-1)t}) = 1/(1 - E), E = sum_{n>=1} (q-1)^{n-1} t^n/n!
         E = PowerSeries.from_terms(
@@ -190,7 +190,7 @@ def _closed_complex(tag: str, order: int) -> PowerSeries:
     # cycles: t - [log(1 - (q-1)F_P) + (q-1) log(1 + F_P)] / (q(q-1))
     fp = _closed_complex("P", order)
     bracket = log1p_series(fp.scale(-(q - one))) + log1p_series(fp).scale(q - one)
-    return t - bracket.divexact_scalar(q * (q - one))
+    return t - bracket.divexact(q * (q - one))
 
 
 def complete_complex_inverse(order: int) -> PowerSeries:
@@ -200,8 +200,8 @@ def complete_complex_inverse(order: int) -> PowerSeries:
     one = QPoly.one()
     t = _t(order)
     powq = pow_param_series(t, q)  # (1+t)^q
-    inner = (powq - PowerSeries.constant("t", order, one)).divexact_scalar(q)
-    return (t.scale(q) - inner).divexact_scalar(q - one)
+    inner = (powq - PowerSeries.constant("t", order, one)).divexact(q)
+    return (t.scale(q) - inner).divexact(q - one)
 
 
 def real_path_core(order: int) -> PowerSeries:
@@ -212,7 +212,7 @@ def real_path_core(order: int) -> PowerSeries:
     radicand = (t * t).scale(q * 4)
     root = pow_param_series(radicand, Fraction(1, 2))
     numerator = root - PowerSeries.constant("t", order + 1, QPoly.one())
-    return numerator.shift_down().divexact_scalar(q * 2)
+    return numerator.shift_down().divexact(q * 2)
 
 
 def _closed_real(tag: str, order: int) -> PowerSeries:

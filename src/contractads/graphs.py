@@ -40,6 +40,11 @@ TREE_MAX_VERTICES = 8
 # bounds the verify suites over the classes, not their enumeration: Koszul
 # takes about a minute at 7 vertices, and 8 vertices have 11,117 classes
 CLASS_ENUMERATION_MAX_VERTICES = 7
+# bound the series commands: the complete family's complex closed form takes
+# about 17 s at order 24, the Young series of the complex compactification
+# about a minute at degree 10
+SERIES_MAX_ORDER = 24
+YOUNG_MAX_DEGREE = 10
 
 
 def _bits(mask: int) -> list[int]:

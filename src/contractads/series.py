@@ -1,24 +1,29 @@
-"""Truncated power series and the one series engine.
+"""Truncated series: one sparse core, and the one series engine.
 
-A PowerSeries is univariate with QPoly coefficients.  It carries its variable
-tag ('t' or 'z') and truncation order N; the coefficient array always has
-length N+1.  Binary operations take the minimum of the two orders, so
-precision loss is explicit and monotone.
+Every truncated series of the library is a `_SparseSeries`: a dict from
+monomial keys to nonzero QPoly coefficients, truncated at a total degree
+`degree`.  The core normalises terms and defines +, -, negation, scale,
+exact scalar division (divexact), == and hash, truncation and the one
+truncated product loop; a subclass supplies only its key arithmetic.  Three
+rings use it: PowerSeries below (keys (n,), one variable 't' or 'z'), and
+YoungSeries (keys (n, lambda), Lambda_Q[[z]]) and BiSeries (keys (i, j),
+series in (t, z)) in :mod:`.young`.  Binary operations truncate at the
+smaller degree, so precision loss is explicit and monotone.
 
 The series engine below (composition, reversion, powers and the exp / log1p
-/ pow_param / scaled-arcsinh expansions) is written once, for PowerSeries,
-YoungSeries and BiSeries (:mod:`.young`) alike.  Besides +, -, * and
-scale(scalar), each provides its truncation `bound` (a total degree),
-truncate(bound), constant_term(), const(value) and variable() (the series
-value and z of the same shape and bound), and z_slices(): {n: the z-free
-series multiplying z^n}, for a PowerSeries the constant series c_n.
+/ pow_param / scaled-arcsinh expansions) is written once against the core:
+besides +, -, * and scale(scalar) it uses the truncation `bound` (the total
+degree), truncate(bound), constant_term(), const(value) and variable() (the
+series value and z of the same shape and bound), and z_slices(): {n: the
+z-free series multiplying z^n}, for a PowerSeries the constant series c_n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from operator import add
+from typing import Mapping, Sequence
 
 from .qpoly import QPoly, Scalar, binomial_param
 
@@ -29,18 +34,184 @@ def _coeff(value) -> QPoly:
     return QPoly.const(value)
 
 
-class PowerSeries:
-    __slots__ = ("var", "order", "coeffs")
+class _SparseSeries:
+    """Dict from monomial keys to nonzero QPoly coefficients, truncated at
+    total degree `degree` (at least `_MIN_DEGREE`).
+
+    Subclasses supply the key arithmetic: `_ONE` and `_Z` are the keys of 1
+    and z, and `_split_z` splits a key into the power of z and the z-free
+    rest.  By default a key is an exponent vector: `_key` keeps it as given,
+    `_weight` (its total degree) is its sum and `_product` adds two keys.
+    Each subclass binds `__mul__ = _SparseSeries._mul` in its own body, where
+    per-class instrumentation (`bench/tracer.py`) looks it up.
+    """
+
+    __slots__ = ("degree", "terms")
+    _MIN_DEGREE = 1
+    _weight = staticmethod(sum)
+
+    def __init__(self, degree: int, terms: Mapping[tuple, QPoly | Scalar] | None = None):
+        if degree < self._MIN_DEGREE:
+            raise ValueError(f"degree bound must be >= {self._MIN_DEGREE}")
+        self.degree = degree
+        self.terms = self._normal(degree, terms or {})
+
+    @classmethod
+    def _normal(cls, degree: int, terms: Mapping) -> dict:
+        """Normalised keys within the bound, each with its nonzero coefficient."""
+        t: dict[tuple, QPoly] = {}
+        for key, c in terms.items():
+            key, coeff = cls._key(*key), _coeff(c)
+            if cls._weight(key) <= degree and not coeff.is_zero():
+                t[key] = coeff
+        return t
+
+    def _make(self, degree: int, terms: dict):
+        """A series of the same ring as self on terms that are already
+        normalised, within the bound and nonzero."""
+        out = object.__new__(type(self))
+        out.degree, out.terms = degree, terms
+        return out
+
+    @staticmethod
+    def _key(*key) -> tuple:
+        return key
+
+    def _product(self, k1: tuple, k2: tuple, d: int):
+        """The monomials of k1 * k2 within degree d, each with its integer
+        coefficient."""
+        key = tuple(map(add, k1, k2))
+        return ((key, 1),) if self._weight(key) <= d else ()
+
+    def _ring(self):
+        """What two series must share besides their class: nothing here;
+        PowerSeries adds its variable."""
+        return None
+
+    def _check(self, other):
+        if self._ring() != other._ring():
+            raise ValueError(f"variable mismatch: {self._ring()} vs {other._ring()}")
+
+    @classmethod
+    def constant(cls, degree: int, value):
+        return cls(degree, {cls._ONE: value})
+
+    @classmethod
+    def z(cls, degree: int):
+        return cls(degree, {cls._Z: QPoly.one()})
+
+    # -- inspection -----------------------------------------------------------
+
+    def coefficient(self, *key) -> QPoly:
+        return self.terms.get(self._key(*key), QPoly.zero())
+
+    def _upto(self, degree: int) -> dict:
+        return {k: c for k, c in self.terms.items() if self._weight(k) <= degree}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        d = min(self.degree, other.degree)
+        return self._ring() == other._ring() and self._upto(d) == other._upto(d)
+
+    def __hash__(self):
+        # == compares up to the smaller degree, so hash only what every degree
+        # keeps: the terms of total degree <= _MIN_DEGREE
+        return hash(frozenset(self._upto(self._MIN_DEGREE).items()))
+
+    # -- series-engine interface ------------------------------------------------
+
+    @property
+    def bound(self) -> int:
+        return self.degree
+
+    def const(self, value):
+        return self._make(self.degree, self._normal(self.degree, {self._ONE: value}))
+
+    def variable(self):
+        return self._make(self.degree, self._normal(self.degree, {self._Z: 1}))
+
+    def constant_term(self) -> QPoly:
+        return self.terms.get(self._ONE, QPoly.zero())
+
+    def truncate(self, degree: int):
+        return self if degree >= self.degree else self._make(degree, self._upto(degree))
+
+    def z_slices(self) -> dict:
+        slices: dict[int, dict] = {}
+        for key, c in self.terms.items():
+            n, rest = self._split_z(key)
+            slices.setdefault(n, {})[rest] = c
+        return {n: self._make(self.degree, t) for n, t in slices.items()}
+
+    # -- arithmetic -------------------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        d = min(self.degree, other.degree)
+        t = self._upto(d)
+        for k, c in other._upto(d).items():
+            s = t.get(k, QPoly.zero()) + c
+            if s.is_zero():
+                t.pop(k, None)
+            else:
+                t[k] = s
+        return self._make(d, t)
+
+    def __neg__(self):
+        return self._make(self.degree, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _mul(self, other):
+        """The truncated product, summed over the monomials `_product` gives
+        for each pair of terms."""
+        self._check(other)
+        d = min(self.degree, other.degree)
+        right = other._upto(d).items()
+        acc: dict[tuple, QPoly] = {}
+        for k1, a in self._upto(d).items():
+            for k2, b in right:
+                monomials = self._product(k1, k2, d)
+                if not monomials:
+                    continue
+                ab = a * b
+                for key, c in monomials:
+                    term = ab if c == 1 else ab * c
+                    if key in acc:
+                        term = acc[key] + term
+                        if term.is_zero():
+                            del acc[key]
+                            continue
+                    acc[key] = term
+        return self._make(d, acc)
+
+    def scale(self, value):
+        c = _coeff(value)
+        # Q[q^(1/2)] has no zero divisors, so only c = 0 empties a term
+        return self._make(self.degree, {k: c * v for k, v in self.terms.items()} if c else {})
+
+    def divexact(self, divisor):
+        """Divide every coefficient exactly by a scalar or QPoly."""
+        d = _coeff(divisor)
+        return self._make(self.degree, {k: v.divexact(d) for k, v in self.terms.items()})
+
+
+class PowerSeries(_SparseSeries):
+    """Series in one variable `var` ('t' or 'z') with QPoly coefficients,
+    truncated at order N >= 0 (its degree); the term of var^n has key (n,)."""
+
+    __slots__ = ("var",)
+    _MIN_DEGREE = 0
+    _ONE = (0,)
+    _Z = (1,)
 
     def __init__(self, var: str, order: int, coeffs: Sequence[QPoly | Scalar]):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        cs = [_coeff(c) for c in coeffs]
-        if len(cs) != order + 1:
-            raise ValueError(f"need exactly {order + 1} coefficients, got {len(cs)}")
         self.var = var
-        self.order = order
-        self.coeffs = tuple(cs)
+        super().__init__(order, {(n,): c for n, c in enumerate(coeffs)})
+        if len(coeffs) != order + 1:
+            raise ValueError(f"need exactly {order + 1} coefficients, got {len(coeffs)}")
 
     # -- constructors ------------------------------------------------------
 
@@ -59,122 +230,72 @@ class PowerSeries:
 
     @classmethod
     def from_terms(cls, var: str, order: int, terms: dict[int, QPoly | Scalar]) -> "PowerSeries":
-        coeffs = [QPoly.zero()] * (order + 1)
-        for n, c in terms.items():
-            if 0 <= n <= order:
-                coeffs[n] = _coeff(c)
-        return cls(var, order, coeffs)
+        return cls(var, order, [terms.get(n, 0) for n in range(order + 1)])
+
+    def _make(self, degree: int, terms: dict) -> "PowerSeries":
+        out = super()._make(degree, terms)
+        out.var = self.var
+        return out
+
+    def _ring(self) -> str:
+        return self.var
+
+    @staticmethod
+    def _split_z(key: tuple[int]) -> tuple[int, tuple[int]]:
+        return key[0], (0,)
+
+    __mul__ = _SparseSeries._mul
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, n: int) -> QPoly:
-        if n > self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return self
-        return PowerSeries(self.var, order, self.coeffs[: order + 1])
-
-    # -- series-engine interface -------------------------------------------
+    @property
+    def order(self) -> int:
+        return self.degree
 
     @property
-    def bound(self) -> int:
-        return self.order
+    def coeffs(self) -> tuple[QPoly, ...]:
+        zero = QPoly.zero()
+        return tuple(self.terms.get((n,), zero) for n in range(self.degree + 1))
 
-    def const(self, value) -> "PowerSeries":
-        return PowerSeries.constant(self.var, self.order, value)
+    def coefficient(self, n: int) -> QPoly:
+        if n > self.degree:
+            raise IndexError(f"coefficient {n} beyond truncation order {self.degree}")
+        return super().coefficient(n)
 
-    def variable(self) -> "PowerSeries":
-        return PowerSeries.identity(self.var, self.order)
-
-    def constant_term(self) -> QPoly:
-        return self.coeffs[0]
-
-    def z_slices(self) -> dict[int, "PowerSeries"]:
-        return {n: self.const(c) for n, c in enumerate(self.coeffs) if not c.is_zero()}
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self.var == other.var and self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
-    def __hash__(self):
-        # == compares up to the smaller order, so hash only what every order
-        # (>= 0) keeps: the constant term
-        return hash((self.var, self.coeffs[0]))
-
-    def _check_var(self, other: "PowerSeries"):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_var(other)
-        n = min(self.order, other.order)
-        return PowerSeries(self.var, n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(self.var, self.order, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_var(other)
-        n = min(self.order, other.order)
-        out = [QPoly.zero()] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.var, n, out)
-
-    def scale(self, value) -> "PowerSeries":
-        c = _coeff(value)
-        return PowerSeries(self.var, self.order, [c * a for a in self.coeffs])
-
-    def divexact_scalar(self, divisor) -> "PowerSeries":
-        d = _coeff(divisor)
-        return PowerSeries(self.var, self.order, [a.divexact(d) for a in self.coeffs])
+    # -- what only one variable allows ----------------------------------------
 
     def shift_down(self) -> "PowerSeries":
         """Divide by the variable; requires zero constant term."""
-        if not self.coeffs[0].is_zero():
+        if self._ONE in self.terms:
             raise ValueError("cannot divide by the variable: nonzero constant term")
-        return PowerSeries(self.var, self.order - 1, self.coeffs[1:])
+        return PowerSeries.from_terms(
+            self.var, self.degree - 1, {n - 1: c for (n,), c in self.terms.items()}
+        )
 
     def invert_unit(self) -> "PowerSeries":
         """Multiplicative inverse; constant term must be a nonzero rational."""
-        a0 = self.coeffs[0].as_fraction()
+        a0 = self.constant_term().as_fraction()
         if a0 == 0:
             raise ValueError("series has no inverse: zero constant term")
         inv0 = Fraction(1) / a0
-        out = [QPoly.zero()] * (self.order + 1)
-        out[0] = QPoly.const(inv0)
-        for m in range(1, self.order + 1):
+        higher = sorted((n, c) for (n,), c in self.terms.items() if n)
+        out = [QPoly.const(inv0)]
+        for m in range(1, self.degree + 1):
             s = QPoly.zero()
-            for k in range(1, m + 1):
-                if not self.coeffs[k].is_zero():
-                    s = s + self.coeffs[k] * out[m - k]
-            out[m] = (-s) * inv0
-        return PowerSeries(self.var, self.order, out)
+            for k, c in higher:
+                if k > m:
+                    break
+                s = s + c * out[m - k]
+            out.append((-s) * inv0)
+        return PowerSeries(self.var, self.degree, out)
 
     def __str__(self) -> str:
         parts = []
-        for n, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
+        for (n,), c in sorted(self.terms.items()):
             mono = "1" if n == 0 else (self.var if n == 1 else f"{self.var}^{n}")
             parts.append(f"({c})*{mono}" if n else f"({c})")
         body = " + ".join(parts) if parts else "0"
-        return f"{body} + O({self.var}^{self.order + 1})"
+        return f"{body} + O({self.var}^{self.degree + 1})"
 
     __repr__ = __str__
 

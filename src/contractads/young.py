@@ -15,17 +15,16 @@ the right factor is connected; for a right factor g with g(P_1) = c != 1 the
 coloured-operad semantics also rescale the symmetric variables, which is what
 :meth:`YoungSeries.scale_x` provides.
 
-YoungSeries and its two-colour specialisation BiSeries share one sparse core
-and differ only in their key arithmetic.  Composition, reversion and the
-transcendental expansions are the single series engine of :mod:`.series`;
-the young_* names below are bindings of it.
+YoungSeries and its two-colour specialisation BiSeries are rings of the one
+sparse core of :mod:`.series` and supply only their key arithmetic.
+Composition, reversion and the transcendental expansions are the single
+series engine there; the young_* names below are bindings of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
 
 from .qpoly import QPoly
 from .symfunc import (
@@ -38,6 +37,7 @@ from .symfunc import (
 from .graphs import multipartite_graph
 from .graphic_functions import GraphicFunction
 from .series import (
+    _SparseSeries,
     _coeff,
     exp_series,
     log1p_series,
@@ -48,117 +48,6 @@ from .series import (
 )
 
 Key = tuple[int, Partition]
-
-
-class _SparseSeries:
-    """Dict from monomial keys to nonzero QPoly coefficients, truncated at
-    total degree `degree`.
-
-    Subclasses supply the key arithmetic: `_key` normalises a key (plain
-    tuples by default), `_weight` is its total degree, `_split_z` splits it
-    into the power of z and the z-free rest, `_ONE` and `_Z` are the keys of
-    1 and z, and `__mul__` multiplies.
-    """
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: Mapping[tuple, QPoly | int | Fraction] | None = None):
-        if degree < 1:
-            raise ValueError("degree bound must be >= 1")
-        t: dict[tuple, QPoly] = {}
-        for key, c in (terms or {}).items():
-            key, coeff = self._key(*key), _coeff(c)
-            if self._weight(key) <= degree and not coeff.is_zero():
-                t[key] = coeff
-        self.degree = degree
-        self.terms = t
-
-    @classmethod
-    def _make(cls, degree: int, terms: dict):
-        """Wrap terms that are already normalised, within the bound and nonzero."""
-        out = cls.__new__(cls)
-        out.degree, out.terms = degree, terms
-        return out
-
-    @staticmethod
-    def _key(*key) -> tuple:
-        return key
-
-    @classmethod
-    def constant(cls, degree: int, value):
-        return cls(degree, {cls._ONE: value})
-
-    @classmethod
-    def z(cls, degree: int):
-        return cls(degree, {cls._Z: QPoly.one()})
-
-    # -- inspection -----------------------------------------------------------
-
-    def coefficient(self, *key) -> QPoly:
-        return self.terms.get(self._key(*key), QPoly.zero())
-
-    def _upto(self, degree: int) -> dict:
-        return {k: c for k, c in self.terms.items() if self._weight(k) <= degree}
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        d = min(self.degree, other.degree)
-        return self._upto(d) == other._upto(d)
-
-    def __hash__(self):
-        # == compares up to the smaller degree, so hash only what every degree
-        # (>= 1) keeps: the terms of total degree <= 1
-        return hash(frozenset(self._upto(1).items()))
-
-    # -- series-engine interface ------------------------------------------------
-
-    @property
-    def bound(self) -> int:
-        return self.degree
-
-    def const(self, value):
-        return self.constant(self.degree, value)
-
-    def variable(self):
-        return self.z(self.degree)
-
-    def constant_term(self) -> QPoly:
-        return self.terms.get(self._ONE, QPoly.zero())
-
-    def truncate(self, degree: int):
-        return self if degree >= self.degree else self._make(degree, self._upto(degree))
-
-    def z_slices(self) -> dict:
-        slices: dict[int, dict] = {}
-        for key, c in self.terms.items():
-            n, rest = self._split_z(key)
-            slices.setdefault(n, {})[rest] = c
-        return {n: self._make(self.degree, t) for n, t in slices.items()}
-
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other):
-        d = min(self.degree, other.degree)
-        t = self._upto(d)
-        for k, c in other._upto(d).items():
-            s = t.get(k, QPoly.zero()) + c
-            if s.is_zero():
-                t.pop(k, None)
-            else:
-                t[k] = s
-        return self._make(d, t)
-
-    def __neg__(self):
-        return self._make(self.degree, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value):
-        c = _coeff(value)
-        # Q[q^(1/2)] has no zero divisors, so only c = 0 empties a term
-        return self._make(self.degree, {k: c * v for k, v in self.terms.items()} if c else {})
 
 
 class YoungSeries(_SparseSeries):
@@ -186,14 +75,21 @@ class YoungSeries(_SparseSeries):
     def _split_z(key: Key) -> tuple[int, Key]:
         return key[0], (0, key[1])
 
+    @staticmethod
+    def _product(k1: Key, k2: Key, d: int) -> list[tuple[Key, int]]:
+        (n1, lam), (n2, mu) = k1, k2
+        n = n1 + n2
+        if n + sum(lam) + sum(mu) > d:
+            return []
+        # the product is homogeneous: every nu has |nu| = |lam| + |mu|
+        return [((n, nu), c) for nu, c in monomial_product(lam, mu, d).items()]
+
+    __mul__ = _SparseSeries._mul
+
     def graphic_value(self, n: int, lam) -> QPoly:
         """Recover f(K_{(1^n) u lambda}) from the stored coefficient."""
         lam = normalize_partition(lam)
         return self.coefficient(n, lam) * (factorial(n) * partition_factorial(lam))
-
-    def divexact(self, divisor) -> "YoungSeries":
-        d = _coeff(divisor)
-        return YoungSeries(self.degree, {k: v.divexact(d) for k, v in self.terms.items()})
 
     def scale_x(self, value) -> "YoungSeries":
         """Substitute x_i -> value * x_i: each m_lambda picks up value^|lambda|."""
@@ -201,29 +97,6 @@ class YoungSeries(_SparseSeries):
         return YoungSeries(
             self.degree, {(n, lam): (c ** sum(lam)) * v for (n, lam), v in self.terms.items()}
         )
-
-    def __mul__(self, other: "YoungSeries") -> "YoungSeries":
-        d = min(self.degree, other.degree)
-        acc: dict[Key, QPoly] = {}
-        for (n1, lam), a in self.terms.items():
-            base1 = n1 + sum(lam)
-            if base1 > d:
-                continue
-            for (n2, mu), b in other.terms.items():
-                if base1 + n2 + sum(mu) > d:
-                    continue
-                ab = a * b
-                n = n1 + n2
-                for nu, c in monomial_product(lam, mu, d).items():
-                    if n + sum(nu) > d:
-                        continue
-                    key = (n, nu)
-                    s = acc.get(key, QPoly.zero()) + ab * c
-                    if s.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = s
-        return self._make(d, acc)
 
     def __str__(self):
         if not self.terms:
@@ -334,29 +207,10 @@ class BiSeries(_SparseSeries):
     _Z = (0, 1)
 
     @staticmethod
-    def _weight(key: tuple[int, int]) -> int:
-        return key[0] + key[1]
-
-    @staticmethod
     def _split_z(key: tuple[int, int]) -> tuple[int, tuple[int, int]]:
         return key[1], (key[0], 0)
 
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        d = min(self.degree, other.degree)
-        acc: dict[tuple[int, int], QPoly] = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > d:
-                    continue
-                s = acc.get((i, j), QPoly.zero()) + a * b
-                if s.is_zero():
-                    acc.pop((i, j), None)
-                else:
-                    acc[(i, j)] = s
-        return self._make(d, acc)
-
-    compose_z = series_compose  # substitute the argument for z
+    __mul__ = _SparseSeries._mul
     reverse_z = series_reverse  # compositional inverse in z
 
 

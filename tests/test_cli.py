@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -12,7 +13,14 @@ from contractads.cli import (
     series_from_json,
     series_to_json,
 )
-from contractads.graphs import canonical_key, complete_graph, cycle_graph, multipartite_graph
+from contractads.graphs import (
+    SERIES_MAX_ORDER,
+    YOUNG_MAX_DEGREE,
+    canonical_key,
+    complete_graph,
+    cycle_graph,
+    multipartite_graph,
+)
 
 
 def run(capsys, *argv):
@@ -142,6 +150,33 @@ def test_series_rejects_non_positive_order(capsys):
             assert code == 2
             assert out == ""
             assert "--order" in err
+
+
+def test_series_and_young_refuse_sizes_above_their_caps(capsys):
+    # the caps admit the acceptance bounds (order 8, degree 6) and the bench's
+    # series_young sizes (order 11, degree 7)
+    assert SERIES_MAX_ORDER >= 11 and YOUNG_MAX_DEGREE >= 7
+    over_order, over_degree = str(SERIES_MAX_ORDER + 1), str(YOUNG_MAX_DEGREE + 1)
+    cases = [
+        (("series", "--family", "complete", "--target", "complex", "--order", "40"), "--order"),
+        (("series", "--family", "star", "--target", "real", "--order", over_order), "--order"),
+        (
+            ("series", "--family", "complete", "--target", "complex", "--order", over_order, "--from-recurrence"),
+            "--order",
+        ),
+        (("young", "--target", "complex", "--degree", "12"), "--degree"),
+        (("young", "--target", "chromatic", "--degree", "30"), "--degree"),
+        (("young", "--target", "real", "--degree", over_degree), "--degree"),
+        (("young", "--target", "chromatic", "--degree", "0"), "--degree"),
+    ]
+    for argv, option in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        # refused before any work: each of these runs for minutes or more
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2, argv
+        assert out == ""
+        assert option in err
 
 
 def test_verify_oracle_refuses_bound_above_tree_cap(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -166,3 +167,161 @@ def test_equal_series_hash_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- the sparse core against the dense arithmetic it replaced ------------------
+
+
+class DenseSeries:
+    """The dense tuple arithmetic PowerSeries had before it joined the sparse
+    core, kept only as the oracle of the tests below."""
+
+    def __init__(self, var, order, coeffs):
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        self.var, self.order, self.coeffs = var, order, tuple(coeffs)
+        assert len(self.coeffs) == order + 1
+
+    def _check_var(self, other):
+        if self.var != other.var:
+            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
+
+    def coefficient(self, n):
+        if n > self.order:
+            raise IndexError(n)
+        return self.coeffs[n]
+
+    def truncate(self, order):
+        return self if order >= self.order else DenseSeries(self.var, order, self.coeffs[: order + 1])
+
+    def __add__(self, other):
+        self._check_var(other)
+        n = min(self.order, other.order)
+        return DenseSeries(self.var, n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+
+    def __neg__(self):
+        return DenseSeries(self.var, self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check_var(other)
+        n = min(self.order, other.order)
+        out = [QPoly.zero()] * (n + 1)
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            for j in range(n + 1 - i):
+                out[i + j] = out[i + j] + a * other.coeffs[j]
+        return DenseSeries(self.var, n, out)
+
+    def scale(self, value):
+        c = value if isinstance(value, QPoly) else QPoly.const(value)
+        return DenseSeries(self.var, self.order, [c * a for a in self.coeffs])
+
+    def divexact(self, divisor):
+        return DenseSeries(self.var, self.order, [a.divexact(divisor) for a in self.coeffs])
+
+    def shift_down(self):
+        if not self.coeffs[0].is_zero():
+            raise ValueError("nonzero constant term")
+        return DenseSeries(self.var, self.order - 1, self.coeffs[1:])
+
+    def invert_unit(self):
+        inv0 = Fraction(1) / self.coeffs[0].as_fraction()
+        out = [QPoly.const(inv0)]
+        for m in range(1, self.order + 1):
+            s = QPoly.zero()
+            for k in range(1, m + 1):
+                s = s + self.coeffs[k] * out[m - k]
+            out.append((-s) * inv0)
+        return DenseSeries(self.var, self.order, out)
+
+
+def random_qpoly(rng):
+    if rng.random() < 0.35:
+        return QPoly.zero()
+    return QPoly({rng.randrange(5): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)})
+
+
+def random_unit(rng):
+    return QPoly.const(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+
+
+def random_pair(rng, order, constant=None, var="t"):
+    """The same random series as a PowerSeries and as a DenseSeries, with the
+    given constant term if one is given."""
+    coeffs = [random_qpoly(rng) for _ in range(order + 1)]
+    if constant is not None:
+        coeffs[0] = constant
+    return PowerSeries(var, order, coeffs), DenseSeries(var, order, coeffs)
+
+
+def assert_same(sparse, dense):
+    assert type(sparse) is PowerSeries
+    assert (sparse.var, sparse.order) == (dense.var, dense.order)
+    assert type(sparse.coeffs) is tuple and all(type(c) is QPoly for c in sparse.coeffs)
+    assert sparse.coeffs == dense.coeffs
+    for n in range(dense.order + 2):
+        if n > dense.order:
+            with pytest.raises(IndexError):
+                sparse.coefficient(n)
+        else:
+            assert sparse.coefficient(n) == dense.coefficient(n)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_power_series_matches_the_dense_arithmetic(seed):
+    rng = random.Random(f"series:{seed}")
+    for order in range(9):
+        # equal and mixed orders
+        (a, da), (b, db) = random_pair(rng, order), random_pair(rng, rng.randint(0, 8))
+        assert_same(a, da)
+        assert_same(a + b, da + db)
+        assert_same(a - b, da - db)
+        assert_same(-a, -da)
+        assert_same(a * b, da * db)
+        assert_same(b * a, db * da)
+        assert_same(a * a, da * da)
+        for value in (QPoly.zero(), Fraction(-2, 3), random_qpoly(rng) + QPoly.q()):
+            assert_same(a.scale(value), da.scale(value))
+        for k in range(order + 2):
+            assert_same(a.truncate(k), da.truncate(k))
+        divisor = QPoly.q() - QPoly.const(rng.randint(1, 3))
+        assert_same(a.scale(divisor).divexact(divisor), da.scale(divisor).divexact(divisor))
+        assert_same(a.divexact(Fraction(3, 7)), da.divexact(Fraction(3, 7)))
+        u, du = random_pair(rng, order, random_unit(rng))
+        assert_same(u.invert_unit(), du.invert_unit())
+        c, dc = random_pair(rng, order, QPoly.zero())
+        if order:
+            assert_same(c.shift_down(), dc.shift_down())
+        for bad in (u, c) if order == 0 else (u,):
+            with pytest.raises(ValueError):
+                bad.shift_down()
+
+
+def test_sparse_power_series_equality_ignores_the_order():
+    rng = random.Random("series:equality")
+    for order in range(9):
+        a, _ = random_pair(rng, order)
+        for k in range(order + 1):
+            low = a.truncate(k)
+            assert low == a and a == low
+            assert hash(low) == hash(a)
+        other = a + PowerSeries.from_terms("t", order, {order: 1})
+        assert other != a
+        if order:
+            assert other.truncate(order - 1) == a
+
+
+def test_variable_mismatch():
+    rng = random.Random("series:variables")
+    for order in range(4):
+        t, _ = random_pair(rng, order, random_unit(rng), var="t")
+        z = PowerSeries("z", order, t.coeffs)
+        assert t != z and z != t
+        with pytest.raises(ValueError):
+            t + z
+        with pytest.raises(ValueError):
+            t * z
+        with pytest.raises(ValueError):
+            z - t
