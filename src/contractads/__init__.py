@@ -5,8 +5,9 @@ sparse core for every truncated series and the series engine on it
 (:mod:`.series`), graphs with tubes / partitions / contraction
 (:mod:`.graphs`), the convolution algebra of graphic functions
 (:mod:`.graphic_functions`), one-parameter family series and closed forms
-(:mod:`.family_series`), symmetric-function valued Young series
-(:mod:`.symfunc`, :mod:`.young`), and the admissible-tree counting oracles
+(:mod:`.family_series`), symmetric functions and the symmetric-function
+valued Young series, both rings of the same core (:mod:`.symfunc`,
+:mod:`.young`), and the admissible-tree counting oracles
 (:mod:`.trees`).
 """
 

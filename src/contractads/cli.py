@@ -29,6 +29,7 @@ from .qpoly import QPoly
 from .series import PowerSeries
 from .graphs import (
     SERIES_MAX_ORDER,
+    SERIES_RECURRENCE_MAX_ORDER,
     TREE_MAX_VERTICES,
     YOUNG_MAX_DEGREE,
     Graph,
@@ -181,8 +182,9 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if not 1 <= args.order <= SERIES_MAX_ORDER:
-        raise UsageError(f"--order must be between 1 and {SERIES_MAX_ORDER}, got {args.order}")
+    cap = SERIES_RECURRENCE_MAX_ORDER if args.from_recurrence else SERIES_MAX_ORDER
+    if not 1 <= args.order <= cap:
+        raise UsageError(f"--order must be between 1 and {cap}, got {args.order}")
     if args.from_recurrence:
         fn = wonderful_complex_gf() if args.target == "complex" else wonderful_real_gf()
         s = family_series(fn, args.family, args.order).series

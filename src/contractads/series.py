@@ -4,11 +4,12 @@ Every truncated series of the library is a `_SparseSeries`: a dict from
 monomial keys to nonzero QPoly coefficients, truncated at a total degree
 `degree`.  The core normalises terms and defines +, -, negation, scale,
 exact scalar division (divexact), == and hash, truncation and the one
-truncated product loop; a subclass supplies only its key arithmetic.  Three
-rings use it: PowerSeries below (keys (n,), one variable 't' or 'z'), and
+truncated product loop; a subclass supplies only its key arithmetic.  Four
+rings use it: PowerSeries below (keys (n,), one variable 't' or 'z'),
 YoungSeries (keys (n, lambda), Lambda_Q[[z]]) and BiSeries (keys (i, j),
-series in (t, z)) in :mod:`.young`.  Binary operations truncate at the
-smaller degree, so precision loss is explicit and monotone.
+series in (t, z)) in :mod:`.young`, and SymFunc (keys lambda, truncated by
+length) in :mod:`.symfunc`.  Binary operations truncate at the smaller
+degree, so precision loss is explicit and monotone.
 
 The series engine below (composition, reversion, powers and the exp / log1p
 / pow_param / scaled-arcsinh expansions) is written once against the core:
@@ -85,7 +86,7 @@ class _SparseSeries:
 
     def _ring(self):
         """What two series must share besides their class: nothing here;
-        PowerSeries adds its variable."""
+        PowerSeries adds its variable, SymFunc its variable count."""
         return None
 
     def _check(self, other):

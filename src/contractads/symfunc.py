@@ -2,24 +2,27 @@
 
 A SymFunc is an honest symmetric polynomial in a fixed number of variables
 D, stored sparsely on the monomial basis: the key lambda (a partition with
-l(lambda) <= D) stands for m_lambda = Sym(x^lambda).  Products are computed
-through the distinct-rearrangement expansion of m_lambda * m_mu, with the
-integer structure constants memoised per variable count.  Working with at
-least as many variables as the degree bound keeps every m_lambda coordinate
-faithful.
+l(lambda) <= D) stands for m_lambda = Sym(x^lambda).  It is a ring of the
+sparse core of :mod:`.series`, truncated by length rather than degree.
+Products are computed through the distinct-rearrangement expansion of
+m_lambda * m_mu, with the integer structure constants memoised per variable
+count.  Working with at least as many variables as the degree bound keeps
+every m_lambda coordinate faithful.
 
-The power sums p_n = m_(n) are first-class; conversion between the p and m
-bases goes through the lower-triangular transition matrix.
+The power sums p_n = m_(n) are first-class; conversion to the p basis peels
+off one p_lambda at a time along the triangular p-to-m transition.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .qpoly import QPoly
+from .series import _SparseSeries
 
 Partition = tuple[int, ...]
 
@@ -51,11 +54,7 @@ def partitions_upto(n: int) -> list[Partition]:
 
 
 def partition_factorial(lam: Partition) -> int:
-    f = 1
-    for p in lam:
-        for i in range(2, p + 1):
-            f *= i
-    return f
+    return math.prod(map(math.factorial, lam))
 
 
 def _arrangement_codes(lam: Partition, slots: int, base: int) -> list[int]:
@@ -112,25 +111,36 @@ def _monomial_product(lam: Partition, mu: Partition, nvars: int) -> dict[Partiti
     return out
 
 
-class SymFunc:
-    """Symmetric polynomial in `nvars` variables on the monomial basis."""
+class SymFunc(_SparseSeries):
+    """Symmetric polynomial in `nvars` variables on the monomial basis.
 
-    __slots__ = ("nvars", "terms")
+    A ring of the sparse core of :mod:`.series`: the key lambda stands for
+    m_lambda, and Lambda is truncated by length, since the m_lambda with more
+    than nvars parts vanish and span an ideal.  The core's bound is the
+    variable count, which two operands must share; an int, Fraction or QPoly
+    operand is the constant symmetric function.  There is no z, so the
+    series engine does not apply, and `truncate(k)` sets the variables
+    above the k-th to zero.
+    """
 
-    def __init__(self, nvars: int, terms: Mapping[Partition, QPoly | int | Fraction] | None = None):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        t: dict[Partition, QPoly] = {}
-        if terms:
-            for lam, c in terms.items():
-                lam = normalize_partition(lam)
-                if len(lam) > nvars:
-                    continue  # m_lambda vanishes in fewer variables
-                coeff = c if isinstance(c, QPoly) else QPoly.const(c)
-                if not coeff.is_zero():
-                    t[lam] = coeff
-        self.nvars = nvars
-        self.terms = t
+    __slots__ = ()
+    _ONE: Partition = ()
+    _weight = staticmethod(len)
+
+    @staticmethod
+    def _key(*parts: int) -> Partition:
+        return normalize_partition(parts)
+
+    @staticmethod
+    def _product(lam: Partition, mu: Partition, nvars: int):
+        return monomial_product(lam, mu, nvars).items()
+
+    def _ring(self) -> int:
+        return self.degree
+
+    @property
+    def nvars(self) -> int:
+        return self.degree
 
     # -- constructors ------------------------------------------------------
 
@@ -163,121 +173,52 @@ class SymFunc:
     # -- inspection --------------------------------------------------------
 
     def m_coefficient(self, lam: Iterable[int]) -> QPoly:
-        return self.terms.get(normalize_partition(lam), QPoly.zero())
-
-    def degree(self) -> int:
-        return max((sum(lam) for lam in self.terms), default=0)
-
-    def truncate(self, max_degree: int) -> "SymFunc":
-        return SymFunc(self.nvars, {l: c for l, c in self.terms.items() if sum(l) <= max_degree})
+        return self.coefficient(*lam)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            other = SymFunc(self.nvars, {(): other})
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+    # -- arithmetic with scalars as constants ----------------------------------
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset((l, c) for l, c in self.terms.items())))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "SymFunc"):
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
+    def _lift(self, other):
+        return self.const(other) if isinstance(other, (int, Fraction, QPoly)) else other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            other = SymFunc(self.nvars, {(): other})
-        self._check(other)
-        t = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = t.get(lam, QPoly.zero()) + c
-            if s.is_zero():
-                t.pop(lam, None)
-            else:
-                t[lam] = s
-        out = SymFunc.__new__(SymFunc)
-        out.nvars, out.terms = self.nvars, t
-        return out
+        return super().__add__(self._lift(other))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = SymFunc.__new__(SymFunc)
-        out.nvars = self.nvars
-        out.terms = {l: -c for l, c in self.terms.items()}
-        return out
+    def __eq__(self, other):
+        return super().__eq__(self._lift(other))
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            other = SymFunc(self.nvars, {(): other})
-        return self + (-other)
-
-    def scale(self, value) -> "SymFunc":
-        c = value if isinstance(value, QPoly) else QPoly.const(value)
-        return SymFunc(self.nvars, {l: c * v for l, v in self.terms.items()})
+    __hash__ = _SparseSeries.__hash__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
             return self.scale(other)
-        self._check(other)
-        acc: dict[Partition, QPoly] = {}
-        for lam, a in self.terms.items():
-            for mu, b in other.terms.items():
-                ab = a * b
-                for nu, c in monomial_product(lam, mu, self.nvars).items():
-                    s = acc.get(nu, QPoly.zero()) + ab * c
-                    if s.is_zero():
-                        acc.pop(nu, None)
-                    else:
-                        acc[nu] = s
-        out = SymFunc.__new__(SymFunc)
-        out.nvars, out.terms = self.nvars, acc
-        return out
+        return self._mul(other)
 
     __rmul__ = __mul__
 
     # -- basis conversion -----------------------------------------------------
 
     def to_p_basis(self) -> dict[Partition, QPoly]:
-        """Coordinates on the p_lambda basis (requires nvars >= degree)."""
-        deg = self.degree()
-        if deg > self.nvars:
+        """Coordinates on the p_lambda basis (requires nvars >= degree).
+
+        p_lambda has leading term m_lambda, and its other m_nu have |nu| =
+        |lambda| and nu lexicographically above lambda (Macdonald I (6.9)).
+        So the least remaining m_lambda, in (|lambda|, lex) order, is always
+        the leading term of the next p_lambda to peel off.
+        """
+        if any(sum(lam) > self.nvars for lam in self.terms):
             raise ValueError("p-coordinates need at least `degree` variables to be faithful")
         out: dict[Partition, QPoly] = {}
-        rest = {l: c for l, c in self.terms.items()}
-        for d in range(deg, 0, -1):
-            # peel degree-d part using the triangular p-to-m transition
-            lams = [l for l in partitions_of(d) if len(l) <= self.nvars]
-            p_rows = {lam: SymFunc.power_sum_product(lam, self.nvars).terms for lam in lams}
-            # solve in reverse lexicographic order: p_lambda has leading m_lambda
-            todo = {l: rest.get(l, QPoly.zero()) for l in lams}
-            coeffs: dict[Partition, QPoly] = {}
-            for lam in sorted(lams):
-                cur = todo[lam]
-                if cur.is_zero():
-                    continue
-                lead = p_rows[lam][lam]
-                c = cur.divexact(lead)
-                coeffs[lam] = c
-                for nu, v in p_rows[lam].items():
-                    todo[nu] = todo[nu] - c * v
-            for lam, c in coeffs.items():
-                out[lam] = c
-            for lam in lams:
-                if not todo[lam].is_zero():
-                    raise AssertionError("p-basis conversion left a remainder")
-                rest.pop(lam, None)
-        const = rest.pop((), None)
-        if const is not None and not const.is_zero():
-            out[()] = const
-        if rest:
-            raise AssertionError("p-basis conversion missed terms")
+        rest = self
+        while rest.terms:
+            lam = min(rest.terms, key=lambda l: (sum(l), l))
+            p = SymFunc.power_sum_product(lam, self.nvars)
+            out[lam] = c = rest.terms[lam].divexact(p.terms[lam])
+            rest = rest - p.scale(c)
         return out
 
     def __str__(self):

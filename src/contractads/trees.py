@@ -50,6 +50,7 @@ from .graphs import (
     canonical_graph,
     connected_subset_masks,
     count_acyclic_orientations,
+    tube_masks,
 )
 from .graphic_functions import gerst_total_dim
 
@@ -544,13 +545,12 @@ def nested_set_count(g: Graph) -> int:
     or disjoint), the empty set included.  Independent cross-check for the
     stable tree count; exponential in the number of tubes, so only usable on
     small or sparse graphs."""
-    from .graphs import enumerate_tubes
-
-    full = frozenset(range(g.n))
-    tubes = [t for t in enumerate_tubes(g) if len(t) >= 2 and t != full]
+    full = g.full_mask()
+    tubes = [t for t in tube_masks(g) if t.bit_count() >= 2 and t != full]
     if len(tubes) > 20:
         raise ValueError("too many tubes for the brute-force nested-set count")
-    compatible = [[t1 <= t2 or t2 <= t1 or not (t1 & t2) for t2 in tubes] for t1 in tubes]
+    # two masks nest or are disjoint exactly when their meet is 0 or one of them
+    compatible = [[a & b in (0, a, b) for b in tubes] for a in tubes]
     count = 0
 
     def rec(i: int, chosen: list[int]):

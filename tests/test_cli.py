@@ -15,6 +15,7 @@ from contractads.cli import (
 )
 from contractads.graphs import (
     SERIES_MAX_ORDER,
+    SERIES_RECURRENCE_MAX_ORDER,
     YOUNG_MAX_DEGREE,
     canonical_key,
     complete_graph,
@@ -155,13 +156,22 @@ def test_series_rejects_non_positive_order(capsys):
 def test_series_and_young_refuse_sizes_above_their_caps(capsys):
     # the caps admit the acceptance bounds (order 8, degree 6) and the bench's
     # series_young sizes (order 11, degree 7)
-    assert SERIES_MAX_ORDER >= 11 and YOUNG_MAX_DEGREE >= 7
+    assert SERIES_MAX_ORDER >= 11 and YOUNG_MAX_DEGREE >= 7 and SERIES_RECURRENCE_MAX_ORDER >= 8
     over_order, over_degree = str(SERIES_MAX_ORDER + 1), str(YOUNG_MAX_DEGREE + 1)
+    over_recurrence = str(SERIES_RECURRENCE_MAX_ORDER + 1)
     cases = [
         (("series", "--family", "complete", "--target", "complex", "--order", "40"), "--order"),
         (("series", "--family", "star", "--target", "real", "--order", over_order), "--order"),
         (
             ("series", "--family", "complete", "--target", "complex", "--order", over_order, "--from-recurrence"),
+            "--order",
+        ),
+        (
+            ("series", "--family", "cycle", "--target", "complex", "--order", over_recurrence, "--from-recurrence"),
+            "--order",
+        ),
+        (
+            ("series", "--family", "star", "--target", "real", "--order", over_recurrence, "--from-recurrence"),
             "--order",
         ),
         (("young", "--target", "complex", "--degree", "12"), "--degree"),

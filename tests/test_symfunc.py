@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -141,3 +142,203 @@ def test_symmetry_spot_check():
     for e, c in raw.items():
         for arr in set(permutations(e)):
             assert raw.get(arr) == c
+
+
+# -- the sparse core against the arithmetic it replaced ------------------------
+
+
+class ReferenceSymFunc:
+    """The arithmetic SymFunc had before it joined the sparse core, with its
+    per-degree triangular to_p_basis, kept only as the oracle of the tests
+    below."""
+
+    def __init__(self, nvars, terms=None):
+        if nvars < 1:
+            raise ValueError("need at least one variable")
+        t = {}
+        for lam, c in (terms or {}).items():
+            lam = tuple(sorted((p for p in lam if p), reverse=True))
+            if len(lam) > nvars:
+                continue  # m_lambda vanishes in fewer variables
+            coeff = c if isinstance(c, QPoly) else QPoly.const(c)
+            if not coeff.is_zero():
+                t[lam] = coeff
+        self.nvars, self.terms = nvars, t
+
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction, QPoly)):
+            return ReferenceSymFunc(self.nvars, {(): other})
+        return other
+
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError("variable counts differ")
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        other = self._lift(other)
+        self._check(other)
+        t = dict(self.terms)
+        for lam, c in other.terms.items():
+            s = t.get(lam, QPoly.zero()) + c
+            if s.is_zero():
+                t.pop(lam, None)
+            else:
+                t[lam] = s
+        return ReferenceSymFunc(self.nvars, t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceSymFunc(self.nvars, {l: -c for l, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def scale(self, value):
+        c = value if isinstance(value, QPoly) else QPoly.const(value)
+        return ReferenceSymFunc(self.nvars, {l: c * v for l, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, QPoly)):
+            return self.scale(other)
+        self._check(other)
+        acc = {}
+        for lam, a in self.terms.items():
+            for mu, b in other.terms.items():
+                for nu, c in monomial_product(lam, mu, self.nvars).items():
+                    s = acc.get(nu, QPoly.zero()) + a * b * c
+                    if s.is_zero():
+                        acc.pop(nu, None)
+                    else:
+                        acc[nu] = s
+        return ReferenceSymFunc(self.nvars, acc)
+
+    __rmul__ = __mul__
+
+    def _power_sum_product(self, lam):
+        out = ReferenceSymFunc(self.nvars, {(): 1})
+        for p in lam:
+            out = out * ReferenceSymFunc(self.nvars, {(p,): 1})
+        return out
+
+    def to_p_basis(self):
+        deg = max((sum(lam) for lam in self.terms), default=0)
+        if deg > self.nvars:
+            raise ValueError("p-coordinates need at least `degree` variables to be faithful")
+        out = {}
+        rest = dict(self.terms)
+        for d in range(deg, 0, -1):
+            lams = [l for l in partitions_of(d) if len(l) <= self.nvars]
+            p_rows = {lam: self._power_sum_product(lam).terms for lam in lams}
+            todo = {l: rest.get(l, QPoly.zero()) for l in lams}
+            for lam in sorted(lams):
+                cur = todo[lam]
+                if cur.is_zero():
+                    continue
+                c = out[lam] = cur.divexact(p_rows[lam][lam])
+                for nu, v in p_rows[lam].items():
+                    todo[nu] = todo[nu] - c * v
+            for lam in lams:
+                assert todo[lam].is_zero(), "p-basis conversion left a remainder"
+                rest.pop(lam, None)
+        const = rest.pop((), None)
+        if const is not None:
+            out[()] = const
+        assert not rest, "p-basis conversion missed terms"
+        return out
+
+
+def random_qpoly(rng):
+    if rng.random() < 0.3:
+        return QPoly.zero()
+    return QPoly({rng.randrange(4): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)})
+
+
+def random_pair(rng, nvars, max_degree):
+    """The same random symmetric function as a SymFunc and as a
+    ReferenceSymFunc; some keys come unsorted or with more than nvars parts."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        lam = list(rng.choice(partitions_upto(max_degree)))
+        rng.shuffle(lam)
+        terms[tuple(lam)] = random_qpoly(rng)
+    return SymFunc(nvars, terms), ReferenceSymFunc(nvars, terms)
+
+
+def assert_same(got, expected):
+    assert type(got) is SymFunc
+    assert got.nvars == expected.nvars
+    assert all(type(c) is QPoly for c in got.terms.values())
+    assert got.terms == expected.terms
+    assert str(got) == str(SymFunc(expected.nvars, expected.terms))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_symfunc_matches_the_reference_arithmetic(seed):
+    rng = random.Random(f"symfunc:{seed}")
+    for nvars in range(1, 6):
+        (a, ra), (b, rb) = random_pair(rng, nvars, 4), random_pair(rng, nvars, 4)
+        assert_same(a, ra)
+        assert_same(a + b, ra + rb)
+        assert_same(a - b, ra - rb)
+        assert_same(-a, -ra)
+        assert_same(a * b, ra * rb)
+        assert_same(b * a, rb * ra)
+        assert_same(a * a, ra * ra)
+        for value in (0, 3, Fraction(-2, 3), QPoly.zero(), random_qpoly(rng) + QPoly.q()):
+            assert_same(a.scale(value), ra.scale(value))
+            assert_same(a * value, ra * value)
+            assert_same(value * a, value * ra)
+            assert_same(a + value, ra + value)
+            assert_same(value + a, value + ra)
+            assert_same(a - value, ra - value)
+            assert (a == value) == (ra == value) and (value == a) == (value == ra)
+            constant = SymFunc(nvars, {(): value})
+            assert (constant == value) and (value == constant)
+        # == and hash agree with the reference on equal and unequal pairs
+        assert (a == b) == (ra == rb)
+        same = a + b - b
+        assert same == a and hash(same) == hash(a)
+        assert len({a, same, b}) == len({ra, ra + rb - rb, rb})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_to_p_basis_matches_the_triangular_reference(seed):
+    rng = random.Random(f"symfunc:p:{seed}")
+    for nvars in range(1, 6):
+        for max_degree in (nvars, nvars + 1):
+            a, ra = random_pair(rng, nvars, max_degree)
+            try:
+                expected = ra.to_p_basis()
+            except ValueError:
+                with pytest.raises(ValueError):
+                    a.to_p_basis()
+                continue
+            coords = a.to_p_basis()
+            assert coords == expected
+            # the coordinates rebuild the function
+            total = SymFunc.zero(nvars)
+            for lam, c in coords.items():
+                total = total + SymFunc.power_sum_product(lam, nvars).scale(c)
+            assert total == a
+
+
+def test_mixed_variable_counts_raise():
+    rng = random.Random("symfunc:nvars")
+    for nvars in range(1, 5):
+        a, _ = random_pair(rng, nvars, 3)
+        b = SymFunc(nvars + 1, a.terms)
+        assert a != b and b != a
+        assert ReferenceSymFunc(nvars, a.terms) != ReferenceSymFunc(nvars + 1, a.terms)
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(ValueError):
+                op(a, b)
+            with pytest.raises(ValueError):
+                op(b, a)
