@@ -224,7 +224,7 @@ def one_param_gf(value) -> GraphicFunction:
 
 
 def _coerce_power(value, exponent: int):
-    if isinstance(value, QPoly):
+    if isinstance(value, (QPoly, int)):
         return value**exponent
     return Fraction(value) ** exponent
 

@@ -3,7 +3,13 @@
 Exponents are stored as non-negative integer counts of q^(1/2) units, so a
 term at key k means c * q^(k/2).  Doubling exponents keeps every operation in
 integer arithmetic; results that must lie in Q[q] are certified with
-:meth:`QPoly.assert_integral`.  No floating point is used anywhere.
+:meth:`QPoly.assert_integral`.
+
+A stored coefficient is an `int` when it is integral and otherwise a
+`Fraction` in lowest terms: never a Fraction with denominator 1, never a
+float.  The values the library certifies are integer polynomials, so their
+products and sums run on ints and pay for no gcd.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -19,28 +25,30 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _exact(value) -> Scalar:
+    """value as a stored coefficient: an int when integral, else a Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 class QPoly:
-    """Sparse polynomial in q^(1/2) over Q, zero coefficients never stored."""
+    """Sparse polynomial in q^(1/2) over Q, zero coefficients never stored;
+    each coefficient is an int when integral, else a Fraction."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Fraction] = {}
+        c: dict[int, Scalar] = {}
         if coeffs:
             for k, v in coeffs.items():
                 if not isinstance(k, int) or k < 0:
                     raise ValueError(
                         f"exponent must be a non-negative count of q^(1/2) units, got {k!r}"
                     )
-                f = _as_fraction(v)
+                f = _exact(v)
                 if f:
                     c[k] = f
         self._c = c
@@ -57,7 +65,7 @@ class QPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "QPoly":
-        return cls({0: _as_fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def q(cls, power: int = 1) -> "QPoly":
@@ -74,13 +82,13 @@ class QPoly:
     def items(self):
         return sorted(self._c.items())
 
-    def coeff(self, halves: int) -> Fraction:
+    def coeff(self, halves: int) -> Scalar:
         """Coefficient of q^(halves/2)."""
-        return self._c.get(halves, Fraction(0))
+        return self._c.get(halves, 0)
 
-    def coeff_q(self, power: int) -> Fraction:
+    def coeff_q(self, power: int) -> Scalar:
         """Coefficient of q**power."""
-        return self._c.get(2 * power, Fraction(0))
+        return self._c.get(2 * power, 0)
 
     def is_zero(self) -> bool:
         return not self._c
@@ -103,10 +111,10 @@ class QPoly:
         """Largest stored exponent in q^(1/2) units; -1 for the zero polynomial."""
         return max(self._c) if self._c else -1
 
-    def constant_term(self) -> Fraction:
-        return self._c.get(0, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self._c.get(0, 0)
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> Scalar:
         """The value of a constant polynomial."""
         if self._c and (len(self._c) > 1 or 0 not in self._c):
             raise ValueError(f"not a constant polynomial: {self}")
@@ -128,9 +136,9 @@ class QPoly:
             return NotImplemented
         c = dict(self._c)
         for k, v in o._c.items():
-            s = c.get(k, Fraction(0)) + v
+            s = c.get(k, 0) + v
             if s:
-                c[k] = s
+                c[k] = s if type(s) is int else _exact(s)
             else:
                 c.pop(k, None)
         out = QPoly.__new__(QPoly)
@@ -160,15 +168,18 @@ class QPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c: dict[int, Fraction] = {}
+        c: dict[int, Scalar] = {}
         for k1, v1 in self._c.items():
             for k2, v2 in o._c.items():
                 k = k1 + k2
-                s = c.get(k, Fraction(0)) + v1 * v2
+                s = c.get(k, 0) + v1 * v2
                 if s:
                     c[k] = s
                 else:
                     c.pop(k, None)
+        for k, v in c.items():
+            if type(v) is not int:
+                c[k] = _exact(v)
         out = QPoly.__new__(QPoly)
         out._c = c
         return out
@@ -198,22 +209,22 @@ class QPoly:
 
     # -- specialisation and division ---------------------------------------
 
-    def substitute(self, value: Scalar) -> Fraction:
+    def substitute(self, value: Scalar) -> Scalar:
         """Evaluate at q = value.  Requires integral exponents."""
         self.assert_integral("substitute")
-        v = _as_fraction(value)
-        return sum((c * v ** (k // 2) for k, c in self._c.items()), Fraction(0))
+        v = _exact(value)
+        return _exact(sum(c * v ** (k // 2) for k, c in self._c.items()))
 
     def scale_q(self, factor: Scalar) -> "QPoly":
         """Substitute q -> factor * q.  Requires integral exponents."""
         self.assert_integral("scale_q")
-        f = _as_fraction(factor)
+        f = _exact(factor)
         return QPoly({k: c * f ** (k // 2) for k, c in self._c.items()})
 
     def reversed_q(self, degree: int) -> "QPoly":
         """q**degree * p(1/q) for p of q-degree <= degree (integral exponents)."""
         self.assert_integral("reversed_q")
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for k, c in self._c.items():
             nk = 2 * degree - k
             if nk < 0:
@@ -231,17 +242,17 @@ class QPoly:
         rem = dict(self._c)
         dd = d.degree_halves()
         lead = d._c[dd]
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, Scalar] = {}
         while rem:
             rd = max(rem)
             if rd < dd:
                 raise ExactDivisionError(f"({self}) is not divisible by ({d})")
             qk = rd - dd
-            qc = rem[rd] / lead
+            qc = _exact(Fraction(rem[rd], lead))  # int / int would be a float
             quot[qk] = qc
             for k, v in d._c.items():
                 nk = k + qk
-                s = rem.get(nk, Fraction(0)) - qc * v
+                s = rem.get(nk, 0) - qc * v
                 if s:
                     rem[nk] = s
                 else:

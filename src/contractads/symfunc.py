@@ -191,7 +191,9 @@ class SymFunc(_SparseSeries):
     def __eq__(self, other):
         return super().__eq__(self._lift(other))
 
-    __hash__ = _SparseSeries.__hash__
+    def __hash__(self):
+        # == needs equal variable counts, so equal values share every term
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):

@@ -1,9 +1,14 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from contractads import graphic_functions as gf
+from contractads.family_series import FAMILIES, closed_form
 from contractads.qpoly import ExactDivisionError, QPoly, binomial_param
+from contractads.young import young_closed_form
 
 
 def qp(d):
@@ -94,3 +99,235 @@ def test_scale_q():
     q = QPoly.q()
     p = q**2 + 2 * q
     assert p.scale_q(3) == 9 * q**2 + 6 * q
+
+
+def test_divexact_by_a_non_unit_leading_coefficient():
+    q = QPoly.q()
+    quotient = (3 * q + 3).divexact(2 * q + 2)
+    assert quotient.items() == [(0, Fraction(3, 2))]
+    assert type(quotient.constant_term()) is Fraction
+    assert_normal(quotient)
+
+
+# -- the coefficient invariant --------------------------------------------------
+
+
+def _coefficients(value):
+    """Every stored scalar of a QPoly, a scalar, or a series or symmetric
+    function over QPoly."""
+    if isinstance(value, QPoly):
+        return [c for _, c in value.items()]
+    if hasattr(value, "terms"):
+        return [c for poly in value.terms.values() for c in _coefficients(poly)]
+    return [value]
+
+
+def assert_normal(value):
+    """An int when integral, else a Fraction: never a float, never a
+    Fraction with denominator 1."""
+    for c in _coefficients(value):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (c, type(c))
+
+
+def test_every_stored_coefficient_is_normal(graphs_upto_6):
+    mu = gf.mobius_gf()
+    named = [
+        mu,
+        gf.chromatic_gf(),
+        gf.gerst_hilbert_gf(),
+        gf.wonderful_complex_gf(),
+        gf.wonderful_real_gf(),
+        gf.hyper_weighted_gf(),
+        gf.grav_weighted_gf(),
+        gf.unit_gf(),
+        gf.one_gf(),
+        gf.one_param_gf(2),
+        gf.one_q_gf(),
+        gf.one_q_odd_gf(),
+        gf.convolve(gf.one_q_gf() * mu, gf.one_q_gf()),
+        gf.convolve(gf.hyper_weighted_gf(), gf.grav_weighted_gf()),
+        gf.star_inverse(gf.one_q_gf()),
+    ]
+    xsym = gf.chromatic_symfun_tree_gf()
+    assert len(graphs_upto_6) == 143
+    for g in graphs_upto_6:
+        for fn in named:
+            assert_normal(fn(g))
+        if g.m == g.n - 1:
+            assert_normal(xsym(g))
+    for target in ("complex", "real"):
+        for family in FAMILIES:
+            assert_normal(closed_form(target, family, 8))
+    for target in ("chromatic", "modular_complex_G", "modular_real"):
+        assert_normal(young_closed_form(target, 6))
+
+
+# -- differential test against the all-Fraction ring -------------------------------
+
+
+class FractionQPoly:
+    """The ring before integer coefficients, kept as the reference: every
+    coefficient a Fraction, every sum and product normalised by Fraction."""
+
+    def __init__(self, coeffs=None):
+        self._c = {}
+        for k, v in (coeffs or {}).items():
+            f = Fraction(v)
+            if f:
+                self._c[k] = f
+
+    @staticmethod
+    def _coerce(other):
+        return other if isinstance(other, FractionQPoly) else FractionQPoly({0: other})
+
+    def items(self):
+        return sorted(self._c.items())
+
+    def __add__(self, other):
+        c = dict(self._c)
+        for k, v in self._coerce(other)._c.items():
+            s = c.get(k, Fraction(0)) + v
+            if s:
+                c[k] = s
+            else:
+                c.pop(k, None)
+        return FractionQPoly(c)
+
+    def __neg__(self):
+        return FractionQPoly({k: -v for k, v in self._c.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        c = {}
+        for k1, v1 in self._c.items():
+            for k2, v2 in self._coerce(other)._c.items():
+                c[k1 + k2] = c.get(k1 + k2, Fraction(0)) + v1 * v2
+        return FractionQPoly(c)
+
+    def __pow__(self, n):
+        result = FractionQPoly({0: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return self._c == self._coerce(other)._c
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+    def _integral(self):
+        if any(k % 2 for k in self._c):
+            raise AssertionError("genuine q^(1/2) term")
+
+    def substitute(self, value):
+        self._integral()
+        v = Fraction(value)
+        return sum((c * v ** (k // 2) for k, c in self._c.items()), Fraction(0))
+
+    def scale_q(self, factor):
+        self._integral()
+        f = Fraction(factor)
+        return FractionQPoly({k: c * f ** (k // 2) for k, c in self._c.items()})
+
+    def reversed_q(self, degree):
+        self._integral()
+        if any(2 * degree < k for k in self._c):
+            raise ValueError("degree too small")
+        return FractionQPoly({2 * degree - k: c for k, c in self._c.items()})
+
+    def divexact(self, divisor):
+        d = self._coerce(divisor)
+        if not d._c:
+            raise ZeroDivisionError("division by zero polynomial")
+        rem, dd = dict(self._c), max(d._c)
+        quot = {}
+        while rem:
+            rd = max(rem)
+            if rd < dd:
+                raise ExactDivisionError("remainder")
+            qk, qc = rd - dd, rem[rd] / d._c[dd]
+            quot[qk] = qc
+            for k, v in d._c.items():
+                s = rem.get(k + qk, Fraction(0)) - qc * v
+                if s:
+                    rem[k + qk] = s
+                else:
+                    rem.pop(k + qk, None)
+        return FractionQPoly(quot)
+
+
+def ref_binomial_param(alpha, k):
+    a = alpha if isinstance(alpha, FractionQPoly) else FractionQPoly({0: alpha})
+    result = FractionQPoly({0: 1})
+    for i in range(k):
+        result = result * (a - i)
+    return result * Fraction(1, math.factorial(k))
+
+
+def _random_pair(rng, halves=True):
+    """The same polynomial in both rings: int, integral-Fraction and
+    fractional coefficients, on whole and (if halves) half exponents."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 4)):
+        key = rng.randrange(0, 9) if halves else 2 * rng.randrange(0, 5)
+        kind = rng.randrange(3)
+        if kind == 0:
+            coeffs[key] = rng.randint(-5, 5)
+        elif kind == 1:
+            coeffs[key] = Fraction(2 * rng.randint(-3, 3), 2)
+        else:
+            coeffs[key] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    return QPoly(coeffs), FractionQPoly(coeffs)
+
+
+def _random_scalar(rng):
+    return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+
+
+def _outcome(op):
+    """The result of op(), or the type of the error it raised."""
+    try:
+        return op()
+    except (ArithmeticError, AssertionError, ValueError) as exc:
+        return type(exc)
+
+
+def _agree(op, ref):
+    got, want = _outcome(op), _outcome(ref)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert_normal(got)
+    if isinstance(want, FractionQPoly):
+        assert got.items() == want.items()
+        assert hash(got) == hash(want)
+    else:
+        assert got == want
+
+
+def test_matches_the_all_fraction_ring():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        halves = rng.random() < 0.5
+        (a, ra), (b, rb) = _random_pair(rng, halves), _random_pair(rng, halves)
+        s, k = _random_scalar(rng), rng.randrange(0, 4)
+        assert (a == b) == (ra == rb)
+        for op, ref in [
+            (lambda: a + b, lambda: ra + rb),
+            (lambda: a - b, lambda: ra - rb),
+            (lambda: a * b, lambda: ra * rb),
+            (lambda: a + s, lambda: ra + s),
+            (lambda: a * s, lambda: ra * s),
+            (lambda: a**k, lambda: ra**k),
+            (lambda: (a * b).divexact(b), lambda: (ra * rb).divexact(rb)),
+            (lambda: a.divexact(b), lambda: ra.divexact(rb)),
+            (lambda: a.substitute(s), lambda: ra.substitute(s)),
+            (lambda: a.scale_q(s), lambda: ra.scale_q(s)),
+            (lambda: a.reversed_q(k), lambda: ra.reversed_q(k)),
+            (lambda: binomial_param(a, k), lambda: ref_binomial_param(ra, k)),
+            (lambda: binomial_param(s, k), lambda: ref_binomial_param(s, k)),
+        ]:
+            _agree(op, ref)

@@ -6,6 +6,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contractads.graphic_functions import chromatic_symfun_tree_gf
+from contractads.graphs import connected_graphs_upto
 from contractads.qpoly import QPoly
 from contractads.symfunc import (
     SymFunc,
@@ -342,3 +344,12 @@ def test_mixed_variable_counts_raise():
                 op(a, b)
             with pytest.raises(ValueError):
                 op(b, a)
+
+
+def test_distinct_tree_values_hash_apart():
+    # the 25 tree classes on <= 7 vertices have 25 distinct X_sym values;
+    # equal SymFuncs share every term, so the hash reads them all
+    xsym = chromatic_symfun_tree_gf()
+    values = {xsym(g) for g in connected_graphs_upto(7) if g.m == g.n - 1}
+    assert len(values) == 25
+    assert len({hash(v) for v in values}) == 25
