@@ -11,15 +11,16 @@ the named functions used throughout: 1, 1_q, mu, the chromatic function, and
 the Hilbert series of the little-disks, wonderful (complex and real), gravity
 and hypercommutative contractads.
 
-The product and the star-inverse are one partition sum, `_partition_sum`,
-a loop over `graphs.graph_partitions`.  An outer factor of the vertex count
-alone (`GraphicFunction.of_size`: 1, eps, 1_x, 1_q, 1_q^odd) sees only the
-number of blocks: its product is a subset recursion over vertex masks graded
-by block count, `_block_sums`, which builds no G/I, and its star-inverse is
-solved on that table, `_size_inverse`.  The inner factor gives its values
-on the tubes of G by `GraphicFunction.tube_table`: a function of the vertex
-count by popcount, the star-inverse of one from the table that solves it at
-G, any other through its memo.  Both wonderful series are 1 * starinv(phi).
+The product and the star-inverse are one routine, `_product`: the sum over
+the partitions I of a tube T of f(G|_T / I) times the inner factor's values
+on the blocks, which `GraphicFunction.tube_table(G)` hands over (by popcount
+for a function of the vertex count, from the table that solved it for a
+star-inverse, through the memo otherwise).  An outer factor of the vertex
+count alone (`GraphicFunction.of_size`: 1, eps, 1_x, 1_q, 1_q^odd) sees only
+the number of blocks: its product is a subset recursion over vertex masks
+graded by block count, `_block_sums`, which builds no G/I.  `star_inverse`
+solves every f on the tubes of G, smallest first.  Both wonderful series
+are 1 * starinv(phi).
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ import weakref
 from fractions import Fraction
 from typing import Callable
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _exact
 from .series import _coeff
 from .graphs import (
     Graph,
     canonical_key,
     chromatic_polynomial,
+    _partition_masks,
     connected_subset_masks,
-    graph_partitions,
     path_graph,
     quotient,
     subgraph,
@@ -127,83 +128,62 @@ def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, t
     return acc
 
 
-def _graded_total(start, rule, graded: list, skip=()):
-    """start + sum over block counts k of rule(k) * graded[k]."""
-    total = start
-    for k, value in enumerate(graded):
-        if value is not None and k not in skip:
-            total = total + rule(k) * value
-    return total
-
-
-def _partition_sum(graph: Graph, start, outer, inner, skip=()):
-    """start + sum over graph partitions I of outer(G/I) * prod_{B in I}
-    inner(G|_B).  Partitions with a block count in `skip` are left out, and
-    so is G/I whenever the block product is zero."""
-    total = start
-    for blocks in graph_partitions(graph):
-        if len(blocks) in skip:
-            continue
-        weight = inner(subgraph(graph, blocks[0]))
-        for block in blocks[1:]:
-            if not weight:
+def _product(graph: Graph, outer: GraphicFunction, weight: Callable[[int], object], mask: int, table: dict):
+    """(outer * inner)(G|_mask), the sum over partitions I of the tube `mask`
+    of outer(G|_mask / I) * prod_{B in I} weight(B), where (weight, table) is
+    the inner factor's tube table at G.  A block whose weight is zero or None
+    adds nothing.  An outer factor of the vertex count is graded by block
+    count over `_block_sums`; any other loops over the partitions."""
+    if outer.size_rule is not None:
+        graded = _block_sums(graph, weight, mask, table)
+        return sum((outer.size_rule(k) * value for k, value in enumerate(graded) if value is not None), 0)
+    total = 0
+    for blocks in _partition_masks(graph, mask):
+        term = 1
+        for block in blocks:
+            w = weight(block)
+            if not w:
                 break
-            weight = weight * inner(subgraph(graph, block))
-        if weight:
-            total = total + outer(quotient(graph, blocks)) * weight
+            term = term * w
+        else:
+            total = total + outer(quotient(graph, blocks)) * term
     return total
 
 
 def convolve(f: GraphicFunction, g: GraphicFunction) -> GraphicFunction:
-    """Schmitt product f * g.  With f a function of the vertex count the sum
-    is graded by block count, over the tube table of g at G."""
-    if f.size_rule is None:
-        evaluate = lambda graph: _partition_sum(graph, 0, f, g)
-    else:
-        def evaluate(graph: Graph):
-            weight, table = g.tube_table(graph)
-            return _graded_total(0, f.size_rule, _block_sums(graph, weight, graph.full_mask(), table))
+    """Schmitt product f * g, over the tube table of g at G."""
+
+    def evaluate(graph: Graph):
+        weight, table = g.tube_table(graph)
+        return _product(graph, f, weight, graph.full_mask(), table)
 
     return GraphicFunction(f"({f.name}*{g.name})", evaluate)
 
 
 def star_inverse(f: GraphicFunction) -> GraphicFunction:
-    """Two-sided inverse of f under *; requires f(P_1) = 1.
+    """Two-sided inverse g of f under *; requires f(P_1) = 1.
 
-    Solves (f * g)(G) = 0 for G with >= 2 vertices:
-        g(G) = -f(G) - sum over proper non-extreme partitions I of
-               f(G/I) * prod g(G|_B).
+    Solved on every tube T of G, smallest first: (f * g)(T) = 0 once T has
+    two vertices, and in its sum the single block T, weighted by the unknown
+    g(T), is the only term not yet known, so g(T) is minus the rest.  The
+    tube table of g at G is `values.get`, mapping each tube mask to g on it,
+    and the `_block_sums` table over it.
     """
     if f(path_graph(1)) != 1:
         raise ValueError("star inverse needs f(P_1) = 1")
-    name = f"starinv({f.name})"
-    if f.size_rule is not None:
-        inverse = GraphicFunction(name, lambda graph: _size_inverse(graph, f.size_rule)[0](graph.full_mask()))
-        inverse.tube_table = lambda graph: _size_inverse(graph, f.size_rule)
-        return inverse
 
-    def evaluate(graph: Graph):
-        if graph.n == 1:
-            return 1
-        return -_partition_sum(graph, f(graph), f, inverse, skip=(1, graph.n))
+    def solve(graph: Graph) -> tuple[Callable[[int], object], dict]:
+        values: dict[int, object] = {1 << v: 1 for v in range(graph.n)}
+        table: dict[int, list] = {0: [1]}
+        for tube in sorted((t for t in tube_masks(graph) if t not in values), key=int.bit_count):
+            values[tube] = -_product(graph, f, values.get, tube, table)
+            if tube in table:  # block sums at T, taken while g(T) was unknown
+                table[tube][1] = values[tube]
+        return values.get, table
 
-    inverse = GraphicFunction(name, evaluate)
+    inverse = GraphicFunction(f"starinv({f.name})", lambda graph: solve(graph)[0](graph.full_mask()))
+    inverse.tube_table = solve
     return inverse
-
-
-def _size_inverse(graph: Graph, rule: Callable[[int], object]) -> tuple[Callable[[int], object], dict]:
-    """The star-inverse g of G -> rule(|G|), solved on every tube T of G,
-    smallest first: in the partition sum of T the single block T, weighted by
-    the unknown g(T), is the only term not yet in the table.  Returns the
-    tube table of g at G: `values.get`, mapping each tube mask to g on it,
-    and the `_block_sums` table over it."""
-    values: dict[int, object] = {1 << v: 1 for v in range(graph.n)}
-    table: dict[int, list] = {0: [1]}
-    for tube in sorted((t for t in tube_masks(graph) if t not in values), key=int.bit_count):
-        size = bin(tube).count("1")
-        graded = _block_sums(graph, values.get, tube, table)
-        graded[1] = values[tube] = -_graded_total(rule(size), rule, graded, skip=(1, size))
-    return values.get, table
 
 
 # -- named graphic functions -------------------------------------------------------
@@ -226,7 +206,7 @@ def one_param_gf(value) -> GraphicFunction:
 def _coerce_power(value, exponent: int):
     if isinstance(value, (QPoly, int)):
         return value**exponent
-    return Fraction(value) ** exponent
+    return _exact(Fraction(value) ** exponent)
 
 
 def one_q_gf() -> GraphicFunction:

@@ -165,6 +165,13 @@ class QPoly:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # an int scales each coefficient; a nonzero one leaves none zero
+            out = QPoly.__new__(QPoly)
+            out._c = {
+                k: v * other if type(v) is int else _exact(v * other) for k, v in self._c.items() if other
+            }
+            return out
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -215,6 +215,15 @@ def test_koszul_pairings_small(graphs_upto_5):
         assert grav_hyper(g) == eps(g)
 
 
+def test_star_inverse_of_hyper_is_grav(graphs_upto_6):
+    # the Koszul pairing as an inverse, solved with an outer factor that is
+    # not a function of the vertex count
+    inverse, grav = star_inverse(hyper_weighted_gf()), grav_weighted_gf()
+    assert len(graphs_upto_6) == 143
+    for g in graphs_upto_6:
+        assert inverse(g) == grav(g), g
+
+
 def test_real_recurrence_uses_odd_blocks(graphs_upto_5):
     # chi_R * 1_q^odd = 1 on every graph
     pairing = convolve(wonderful_real_gf(), one_q_odd_gf())

@@ -122,6 +122,7 @@ def _named_functions():
         "1_q*1": gf.convolve(gf.one_q_gf(), gf.one_gf()),
         "starinv(1_q)": gf.star_inverse(gf.one_q_gf()),
         "starinv(eps)": gf.star_inverse(gf.unit_gf()),
+        "starinv(hyper)": gf.star_inverse(gf.hyper_weighted_gf()),
     }
 
 
@@ -173,6 +174,7 @@ def test_tube_table_agrees_with_the_function_on_every_tube(graphs_upto_6):
         "starinv(1_q^odd)": gf.star_inverse(gf.one_q_odd_gf()),
         "1_q": gf.one_q_gf(),
         "1_q.mu": gf.one_q_gf() * gf.mobius_gf(),
+        "starinv(hyper)": gf.star_inverse(gf.hyper_weighted_gf()),
     }
     for g in graphs_upto_6 + _relabelled(graphs_upto_6):
         for name, fn in functions.items():

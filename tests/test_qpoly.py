@@ -109,6 +109,13 @@ def test_divexact_by_a_non_unit_leading_coefficient():
     assert_normal(quotient)
 
 
+def test_an_int_scalar_normalises_each_product():
+    half = QPoly({0: Fraction(1, 2)})
+    for product in (half * 2, 2 * half):
+        assert product.items() == [(0, 1)]
+        assert type(product.constant_term()) is int
+
+
 # -- the coefficient invariant --------------------------------------------------
 
 
@@ -142,11 +149,13 @@ def test_every_stored_coefficient_is_normal(graphs_upto_6):
         gf.unit_gf(),
         gf.one_gf(),
         gf.one_param_gf(2),
+        gf.one_param_gf(Fraction(1, 2)),
         gf.one_q_gf(),
         gf.one_q_odd_gf(),
         gf.convolve(gf.one_q_gf() * mu, gf.one_q_gf()),
         gf.convolve(gf.hyper_weighted_gf(), gf.grav_weighted_gf()),
         gf.star_inverse(gf.one_q_gf()),
+        gf.convolve(gf.one_param_gf(Fraction(1, 2)), mu),
     ]
     xsym = gf.chromatic_symfun_tree_gf()
     assert len(graphs_upto_6) == 143
@@ -205,6 +214,8 @@ class FractionQPoly:
             for k2, v2 in self._coerce(other)._c.items():
                 c[k1 + k2] = c.get(k1 + k2, Fraction(0)) + v1 * v2
         return FractionQPoly(c)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         result = FractionQPoly({0: 1})
@@ -331,3 +342,6 @@ def test_matches_the_all_fraction_ring():
             (lambda: binomial_param(s, k), lambda: ref_binomial_param(s, k)),
         ]:
             _agree(op, ref)
+        for n in (0, 1, -2, 3):
+            _agree(lambda: a * n, lambda: ra * n)
+            _agree(lambda: n * a, lambda: n * ra)
