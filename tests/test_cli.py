@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,21 @@ def test_verify_chromatic_on_seven_vertices(capsys):
     assert code == 0, err
     lines = out.splitlines()
     assert len(lines) == 996 and all(line.startswith("PASS chromatic ") for line in lines)
+
+
+def test_verify_chromatic_keys_are_pinned(capsys):
+    # the printed keys and the class order, as recorded in tests/data
+    code, out, err = run(capsys, "verify", "--suite", "chromatic", "--max-vertices", "6")
+    assert code == 0, err
+    assert out == (Path(__file__).parent / "data" / "verify_chromatic_max6.txt").read_text()
+
+
+def test_hilbert_on_a_symmetric_circulant(capsys):
+    # C11(1,2): one refinement class of 11 vertices
+    spec = "n=11: " + ", ".join(f"{i}-{(i + d) % 11}" for i in range(11) for d in (1, 2))
+    code, out, err = run(capsys, "hilbert", "--target", "complex", "--graph", spec)
+    assert code == 0, err
+    assert out.startswith("1 + 1134*q + ")
 
 
 def test_usage_errors(capsys):

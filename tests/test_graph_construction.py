@@ -178,3 +178,20 @@ def test_canonical_search_matches_edge_set_reference(graphs_upto_6):
             generic += 1
             assert key == ("g", n, want), (n, edges)
     assert generic > 200
+
+
+# the two fixed generic inputs of the benchmark's hilbert_queries workload,
+# on which colour refinement leaves a single class
+CUBE_Q3 = [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7)]
+CIRCULANT_C7_12 = sorted({tuple(sorted((i, (i + d) % 7))) for i in range(7) for d in (1, 2)})
+
+
+def test_pruned_search_matches_reference_on_seven_vertices():
+    rng = random.Random(20261019)
+    seven = [g for g in graphs.connected_graphs_upto(7) if g.n == 7]
+    assert len(seven) == 853
+    cases = [(7, sorted(g.edges)) for g in seven]
+    cases += [(7, sorted(relabel_graph(g, rng.sample(range(7), 7)).edges)) for g in seven]
+    cases += [(8, CUBE_Q3), (7, CIRCULANT_C7_12)]
+    for n, edges in cases:
+        assert graphs._min_adjacency_mask(Graph(n, edges)) == _reference_search(n, edges), (n, edges)

@@ -258,6 +258,26 @@ def test_canonical_key_cap():
     assert canonical_key(multipartite_graph((9, 8, 3))) == ("K", (9, 8, 3))
 
 
+def _circulant(n, steps):
+    return Graph(n, sorted({(min(i, (i + d) % n), max(i, (i + d) % n)) for i in range(n) for d in steps}))
+
+
+def test_canonical_key_on_symmetric_graphs():
+    # one refinement class each, with 120, 22 and 1,440 automorphisms
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    crown = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6) if i != j])
+    rng = random.Random(20261019)
+    for g in (petersen, _circulant(11, (1, 2)), crown):
+        key = canonical_key(g)
+        assert key[:2] == ("g", g.n)
+        for _ in range(3):
+            assert canonical_key(relabel_graph(g, rng.sample(range(g.n), g.n))) == key
+        rep = canonical_graph(g)
+        assert canonical_key(rep) == key
+        assert canonical_graph(rep) == rep
+
+
 # -- chromatic polynomial, acyclic orientations ---------------------------------------------
 
 
