@@ -85,12 +85,13 @@ def clear_caches() -> None:
     process: the canonical-key and chromatic tables of `graphs`, and every
     `functools.cache` of a loaded contractads module (among them the named
     graphic functions, the Young structure constants and the tree stores).
-    The memo of every live graphic function is emptied in place, so one the
-    caller still holds recomputes its values."""
+    The memo of every live graphic function, and what it keeps beside it, is
+    emptied in place, so one the caller still holds recomputes its values."""
     _graphs._canonical_cache.clear()
     _graphs._chromatic_cache.clear()
     for fn in list(GraphicFunction._instances):
         fn._memo.clear()
+        fn._kept.clear()
     for name, module in list(_sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(module).values():

@@ -19,8 +19,10 @@ star-inverse, through the memo otherwise).  An outer factor of the vertex
 count alone (`GraphicFunction.of_size`: 1, eps, 1_x, 1_q, 1_q^odd) sees only
 the number of blocks: its product is a subset recursion over vertex masks
 graded by block count, `_block_sums`, which builds no G/I.  `star_inverse`
-solves every f on the tubes of G, smallest first.  Both wonderful series
-are 1 * starinv(phi).
+solves every f on the tubes of G, smallest first, and keeps the last table.
+Both wonderful series are 1 * starinv(phi).  As 1_x . (f * g) = (1_x . f) *
+(1_x . g), since x^(n-1) = x^(|I|-1) prod_B x^(|B|-1), gerst = 1 * (1_q . mu)
+is 1_q * mu reversed in degree n - 1: mu, chi and gerst read mu's table at G.
 """
 
 from __future__ import annotations
@@ -60,25 +62,31 @@ class GraphicFunction:
         self.name = name
         self._evaluate = evaluate
         self._memo: dict = {}
+        self._kept: dict = {}  # emptied with the memo: size-rule values, a star-inverse's last table
         self.size_rule: Callable[[int], object] | None = None
         GraphicFunction._instances.add(self)
 
     @classmethod
     def of_size(cls, name: str, rule: Callable[[int], object]) -> "GraphicFunction":
-        """G -> rule(number of vertices of G), with the rule kept as `size_rule`."""
-        fn = cls(name, lambda g: rule(g.n))
-        fn.size_rule = rule
-        fn.tube_table = lambda graph: (functools.cache(lambda tube: rule(tube.bit_count())), {0: [1]})
+        """G -> rule(number of vertices of G), with the rule kept, memoised, as `size_rule`."""
+        fn = cls(name, lambda g: fn.size_rule(g.n))
+        kept = fn._kept
+        fn.size_rule = lambda n: kept[n] if n in kept else kept.setdefault(n, rule(n))
+        fn.tube_table = lambda graph: (lambda tube: fn.size_rule(tube.bit_count()), {0: [1]})
         return fn
 
     def tube_table(self, graph: Graph) -> tuple[Callable[[int], object], dict]:
         """(weight, table): this function's value on each tube mask of `graph`,
         and a `_block_sums` memo over it.  Here each tube is fetched by memo."""
-        return functools.cache(lambda tube: self(subgraph(graph, tube))), {0: [1]}
+        return functools.cache(lambda tube: self._value(subgraph(graph, tube))), {0: [1]}
 
     def __call__(self, g: Graph):
         if not g.is_connected():
             raise ValueError(f"graphic function {self.name} needs a connected graph")
+        return self._value(g)
+
+    def _value(self, g: Graph):
+        """The value on a graph known to be connected: a tube, a quotient, checked input."""
         key = canonical_key(g)
         hit = self._memo.get(key)
         if hit is not None:
@@ -93,17 +101,17 @@ class GraphicFunction:
     # pointwise ring structure -------------------------------------------------
 
     def __add__(self, other: "GraphicFunction") -> "GraphicFunction":
-        return GraphicFunction(f"({self.name}+{other.name})", lambda g: self(g) + other(g))
+        return GraphicFunction(f"({self.name}+{other.name})", lambda g: self._value(g) + other._value(g))
 
     def __sub__(self, other: "GraphicFunction") -> "GraphicFunction":
-        return GraphicFunction(f"({self.name}-{other.name})", lambda g: self(g) - other(g))
+        return GraphicFunction(f"({self.name}-{other.name})", lambda g: self._value(g) - other._value(g))
 
     def __mul__(self, other: "GraphicFunction") -> "GraphicFunction":
         """Pointwise (Hadamard) product f . g."""
-        return GraphicFunction(f"({self.name}.{other.name})", lambda g: self(g) * other(g))
+        return GraphicFunction(f"({self.name}.{other.name})", lambda g: self._value(g) * other._value(g))
 
     def scale(self, value) -> "GraphicFunction":
-        return GraphicFunction(f"({value})*{self.name}", lambda g: value * self(g))
+        return GraphicFunction(f"({value})*{self.name}", lambda g: value * self._value(g))
 
 
 def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, table: dict):
@@ -146,7 +154,7 @@ def _product(graph: Graph, outer: GraphicFunction, weight: Callable[[int], objec
                 break
             term = term * w
         else:
-            total = total + outer(quotient(graph, blocks)) * term
+            total = total + outer._value(quotient(graph, blocks)) * term
     return total
 
 
@@ -167,18 +175,23 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
     two vertices, and in its sum the single block T, weighted by the unknown
     g(T), is the only term not yet known, so g(T) is minus the rest.  The
     tube table of g at G is `values.get`, mapping each tube mask to g on it,
-    and the `_block_sums` table over it.
+    and the `_block_sums` table over it.  The last table is kept, by labelled graph.
     """
     if f(path_graph(1)) != 1:
         raise ValueError("star inverse needs f(P_1) = 1")
 
     def solve(graph: Graph) -> tuple[Callable[[int], object], dict]:
+        kept = inverse._kept.get((graph.n, graph.adj_mask))
+        if kept is not None:
+            return kept
+        inverse._kept.clear()  # dropped before the next table is built, not after
         values: dict[int, object] = {1 << v: 1 for v in range(graph.n)}
         table: dict[int, list] = {0: [1]}
         for tube in sorted((t for t in tube_masks(graph) if t not in values), key=int.bit_count):
             values[tube] = -_product(graph, f, values.get, tube, table)
             if tube in table:  # block sums at T, taken while g(T) was unknown
                 table[tube][1] = values[tube]
+        inverse._kept[graph.n, graph.adj_mask] = values.get, table
         return values.get, table
 
     inverse = GraphicFunction(f"starinv({f.name})", lambda graph: solve(graph)[0](graph.full_mask()))
@@ -236,13 +249,19 @@ def mobius_gf() -> GraphicFunction:
 
 
 @functools.cache
+def _chromatic_over_q_gf() -> GraphicFunction:
+    """1_q * mu = chi_G / q, read off mu's table at G; chi and gerst share its memo."""
+    return convolve(one_q_gf(), mobius_gf())
+
+
+@functools.cache
 def chromatic_gf() -> GraphicFunction:
     """The chromatic polynomial as q * (1_q * mu); cross-checked against
     deletion-contraction on every evaluation."""
-    base = convolve(one_q_gf(), mobius_gf())
+    base = _chromatic_over_q_gf()
 
     def evaluate(g: Graph):
-        value = QPoly.q() * base(g)
+        value = QPoly.q() * base._value(g)
         if value != chromatic_polynomial(g):
             raise AssertionError(f"contractad chromatic disagrees with deletion-contraction on {g!r}")
         return value
@@ -255,13 +274,14 @@ def gerst_hilbert_gf() -> GraphicFunction:
     """Homology Hilbert series of the little-disks contractad, in the
     convention where the value equals q^n * chi_G(1/q).
 
-    Computed as 1 * (1_q . mu); the chromatic identity is asserted on every
-    evaluation.  The total dimension is the value at q = -1.
+    Gerst = Com o Lie gives 1 * (1_q . mu); as 1_q . - is a monoid automorphism,
+    that is (1_q * mu)(G) reversed in degree n - 1.  The chromatic identity is
+    asserted on every evaluation.  The total dimension is the value at q = -1.
     """
-    base = convolve(one_gf(), one_q_gf() * mobius_gf())
+    base = _chromatic_over_q_gf()
 
     def evaluate(g: Graph):
-        value = _coeff(base(g))
+        value = _coeff(base._value(g)).reversed_q(g.n - 1)
         chrom = chromatic_polynomial(g)
         if value != chrom.reversed_q(g.n):
             raise AssertionError(
@@ -305,7 +325,7 @@ def wonderful_complex_gf() -> GraphicFunction:
     base = convolve(one_gf(), star_inverse(GraphicFunction.of_size("phi", _complex_block_factor)))
 
     def evaluate(g: Graph):
-        value = _coeff(base(g)).assert_integral("wonderful complex value")
+        value = _coeff(base._value(g)).assert_integral("wonderful complex value")
         deg = g.n - 2
         for k in range(0, deg + 1):
             if value.coeff_q(k) != value.coeff_q(deg - k):
@@ -328,7 +348,7 @@ def wonderful_real_gf() -> GraphicFunction:
     base = convolve(one_gf(), star_inverse(one_q_odd_gf()))
 
     def evaluate(g: Graph):
-        return _coeff(base(g)).assert_integral("wonderful real value")
+        return _coeff(base._value(g)).assert_integral("wonderful real value")
 
     return GraphicFunction("wonderful_R", evaluate)
 
@@ -340,7 +360,7 @@ def hyper_weighted_gf() -> GraphicFunction:
     wc = wonderful_complex_gf()
 
     def evaluate(g: Graph):
-        value = QPoly.q() * wc(g)
+        value = QPoly.q() * wc._value(g)
         if g.n == 1:
             value = value + (QPoly.one() - QPoly.q())
         return value
@@ -356,7 +376,7 @@ def grav_weighted_gf() -> GraphicFunction:
     qmin1 = QPoly.q() - QPoly.one()
 
     def evaluate(g: Graph):
-        numerator = QPoly.q() * gerst(g)
+        numerator = QPoly.q() * gerst._value(g)
         if g.n == 1:
             numerator = numerator - QPoly.one()
         return numerator.divexact(qmin1)

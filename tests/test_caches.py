@@ -78,6 +78,25 @@ def test_clear_caches_empties_held_graphic_functions():
     assert chrom._memo == {} and lie_side._memo == {} and captured._memo == {}
 
 
+def test_clear_caches_empties_what_functions_keep(monkeypatch):
+    # mu keeps its last solved table: a second query at the same graph reads
+    # it, and after clear_caches() the next query solves mu again
+    from contractads import graphic_functions as gf
+
+    solved = []
+    monkeypatch.setattr(gf, "tube_masks", lambda graph: solved.append(graph) or graphs.tube_masks(graph))
+    clear_caches()
+    mu, one_q, g = mobius_gf(), one_q_gf(), complete_graph(5)
+    mu.tube_table(g)
+    assert mu(g) == 24 and len(solved) == 1
+    one_q.size_rule(3)
+    assert mu._kept and one_q._kept
+
+    clear_caches()
+    assert not mu._kept and not one_q._kept
+    assert mu(g) == 24 and len(solved) == 2
+
+
 def _traced_bytes() -> int:
     """Bytes held by live allocations, leaving out those of tracemalloc and
     of this file (the measurements themselves)."""

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import random
 import subprocess
@@ -18,10 +19,14 @@ from contractads.graphs import (
     chromatic_polynomial,
     complete_graph,
     count_acyclic_orientations,
+    connected_graphs_upto,
     cycle_graph,
     path_graph,
     star_graph,
+    tube_masks,
 )
+from contractads.cli import qpoly_from_json
+from contractads.series import _coeff
 from contractads.graphic_functions import (
     GraphicFunction,
     _complex_block_factor,
@@ -172,6 +177,27 @@ def test_gerst_values():
 def test_gerst_counts_acyclic_orientations(graphs_upto_5):
     for g in graphs_upto_5:
         assert gerst_total_dim(g) == count_acyclic_orientations(g)
+
+
+def test_gerst_matches_the_hadamard_product_on_seven_vertices():
+    # the product it replaced, 1 * (1_q . mu), through the library's kernel
+    clear_caches()
+    reference = convolve(one_gf(), one_q_gf() * mobius_gf())
+    gerst = gerst_hilbert_gf()
+    classes = connected_graphs_upto(7)
+    assert len(classes) == 996
+    for g in classes:
+        got, want = gerst(g), _coeff(reference(g))
+        assert got == want, g
+        assert type(got) is type(want), g
+        assert [type(c) for c in got._c.values()] == [type(c) for c in want._c.values()], g
+
+
+def test_outside_input_is_checked_for_connectivity():
+    two_components = Graph(4, [(0, 1), (2, 3)])
+    for build in (mobius_gf, chromatic_gf, gerst_hilbert_gf):
+        with pytest.raises(ValueError, match="connected"):
+            build()(two_components)
 
 
 def test_wonderful_complex_values():
@@ -355,6 +381,36 @@ def test_mobius_k12_through_the_cli(capsys):
 
     assert main(["mobius", "--graph", "K12", "--json"]) == 0
     assert capsys.readouterr().out.strip() == '{"mobius": -39916800}'  # -11!
+
+
+def test_cli_queries_of_one_graph_solve_mu_once(monkeypatch, capsys):
+    # gerst, mobius and chromatic of one graph, in the order the CLI is asked:
+    # all three read the one table of mu at G
+    import contractads.graphic_functions as gf
+    from contractads.cli import main
+
+    g = _generic_graph(8, 13, seed=20261020)
+    spec = f"n={g.n}: " + ", ".join(f"{u}-{v}" for u, v in sorted(g.edges))
+    solved = []
+    monkeypatch.setattr(gf, "tube_masks", lambda graph: solved.append(graph) or tube_masks(graph))
+    clear_caches()
+    for command in (["hilbert", "--target", "gerst"], ["mobius"], ["chromatic"]):
+        assert main([*command, "--graph", spec, "--json"]) == 0
+    outputs = capsys.readouterr().out.splitlines()
+    assert len(solved) == 1 and solved[0].adj_mask == g.adj_mask
+    chrom = chromatic_polynomial(g)
+    assert qpoly_from_json(json.loads(outputs[0])) == chrom.reversed_q(g.n)
+    assert json.loads(outputs[1]) == {"mobius": chrom.coeff_q(1)}
+    assert qpoly_from_json(json.loads(outputs[2])) == chrom
+
+
+def test_size_rule_values_are_computed_once():
+    sizes = []
+    phi = GraphicFunction.of_size("phi", lambda n: sizes.append(n) or _complex_block_factor(n))
+    wonderful = convolve(one_gf(), star_inverse(phi))
+    for h in (complete_graph(5), cycle_graph(6), star_graph(5)):
+        assert wonderful(h) == wonderful_complex_gf()(h)
+    assert sorted(sizes) == sorted(set(sizes))
 
 
 def test_mobius_is_linear_chromatic_coefficient_on_twelve_vertices():

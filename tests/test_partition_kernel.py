@@ -184,3 +184,16 @@ def test_tube_table_agrees_with_the_function_on_every_tube(graphs_upto_6):
                 assert got == want, (name, g, tube)
                 assert type(got) is type(want), (name, g, tube, type(got), type(want))
             assert gf._block_sums(g, weight, g.full_mask(), table)[1] == fn(g), (name, g)
+
+
+def test_gerst_matches_the_frozenset_hadamard_kernel(graphs_upto_6):
+    # gerst is read off mu's table at G as (1_q * mu) reversed; the reference
+    # is its definition 1 * (1_q . mu), with the frozenset product and inverse
+    reference = ref_convolve(gf.one_gf(), gf.one_q_gf() * ref_star_inverse(gf.one_gf()))
+    for graphs in (graphs_upto_6, _relabelled(graphs_upto_6)):
+        clear_caches()
+        gerst = gf.gerst_hilbert_gf()
+        for g in graphs:
+            got, want = gerst(g), reference(g)
+            assert got == want, g
+            assert type(got) is type(want), (g, type(got), type(want))
