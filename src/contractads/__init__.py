@@ -82,13 +82,12 @@ from . import graphs as _graphs
 
 def clear_caches() -> None:
     """Empty every memo of the library, to bound the memory of a long-lived
-    process: the canonical-key and chromatic tables of `graphs`, and every
-    `functools.cache` of a loaded contractads module (among them the named
-    graphic functions, the Young structure constants and the tree stores).
+    process: the canonical-key table of `graphs`, and every `functools.cache`
+    of a loaded contractads module (among them the named graphic functions,
+    the Young structure constants and the tree stores).
     The memo of every live graphic function, and what it keeps beside it, is
     emptied in place, so one the caller still holds recomputes its values."""
     _graphs._canonical_cache.clear()
-    _graphs._chromatic_cache.clear()
     for fn in list(GraphicFunction._instances):
         fn._memo.clear()
         fn._kept.clear()

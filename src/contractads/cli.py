@@ -246,12 +246,9 @@ def _suite_koszul(max_vertices: int) -> int:
 
 
 def _suite_chromatic(max_vertices: int) -> int:
-    from .graphs import chromatic_polynomial
-
     chrom = chromatic_gf()
     for g in connected_graphs_upto(max_vertices):
-        if chrom(g) != chromatic_polynomial(g):
-            return _fail(g, "contractad chromatic disagrees with deletion-contraction")
+        chrom(g)  # asserts q * (1_q * mu) = the frontier sweep's chi
         print(f"PASS chromatic {canonical_key(g)}")
     return 0
 
@@ -401,6 +398,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a certified identity failed
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,9 @@ graded by block count, `_block_sums`, which builds no G/I.  `star_inverse`
 solves every f on the tubes of G, smallest first, and keeps the last table.
 Both wonderful series are 1 * starinv(phi).  As 1_x . (f * g) = (1_x . f) *
 (1_x . g), since x^(n-1) = x^(|I|-1) prod_B x^(|B|-1), gerst = 1 * (1_q . mu)
-is 1_q * mu reversed in degree n - 1: mu, chi and gerst read mu's table at G.
+is 1_q * mu reversed in degree n - 1, so chi = q * (1_q * mu) reversed in
+degree n: mu and chi read mu's table at G, chi is checked against the
+frontier sweep of `graphs.chromatic_polynomial`, and gerst reads chi.
 """
 
 from __future__ import annotations
@@ -249,21 +251,16 @@ def mobius_gf() -> GraphicFunction:
 
 
 @functools.cache
-def _chromatic_over_q_gf() -> GraphicFunction:
-    """1_q * mu = chi_G / q, read off mu's table at G; chi and gerst share its memo."""
-    return convolve(one_q_gf(), mobius_gf())
-
-
-@functools.cache
 def chromatic_gf() -> GraphicFunction:
-    """The chromatic polynomial as q * (1_q * mu); cross-checked against
-    deletion-contraction on every evaluation."""
-    base = _chromatic_over_q_gf()
+    """The chromatic polynomial as q * (1_q * mu), read off mu's table at G;
+    checked against the frontier sweep `chromatic_polynomial` on every
+    evaluation."""
+    base = convolve(one_q_gf(), mobius_gf())
 
     def evaluate(g: Graph):
         value = QPoly.q() * base._value(g)
         if value != chromatic_polynomial(g):
-            raise AssertionError(f"contractad chromatic disagrees with deletion-contraction on {g!r}")
+            raise AssertionError(f"contractad chromatic disagrees with the frontier sweep on {g!r}")
         return value
 
     return GraphicFunction("X(q)", evaluate)
@@ -275,21 +272,13 @@ def gerst_hilbert_gf() -> GraphicFunction:
     convention where the value equals q^n * chi_G(1/q).
 
     Gerst = Com o Lie gives 1 * (1_q . mu); as 1_q . - is a monoid automorphism,
-    that is (1_q * mu)(G) reversed in degree n - 1.  The chromatic identity is
-    asserted on every evaluation.  The total dimension is the value at q = -1.
+    that is (1_q * mu)(G) reversed in degree n - 1, or chi_G = q * (1_q * mu)
+    reversed in degree n.  It is read off `chromatic_gf`, which asserts the
+    chromatic identity on every evaluation.  The total dimension is the value
+    at q = -1.
     """
-    base = _chromatic_over_q_gf()
-
-    def evaluate(g: Graph):
-        value = _coeff(base._value(g)).reversed_q(g.n - 1)
-        chrom = chromatic_polynomial(g)
-        if value != chrom.reversed_q(g.n):
-            raise AssertionError(
-                f"little-disks Hilbert series is not the reversed chromatic polynomial on {g!r}"
-            )
-        return value
-
-    return GraphicFunction("gerst", evaluate)
+    chrom = chromatic_gf()
+    return GraphicFunction("gerst", lambda g: chrom._value(g).reversed_q(g.n))
 
 
 def gerst_total_dim(g: Graph) -> int:

@@ -24,6 +24,10 @@ multipartite graphs, paths and cycles are recognised structurally and get
 parametric keys; any other graph of at most CANONICAL_MAX_VERTICES vertices
 gets the least adjacency mask over the orderings within its colour-refinement
 classes, found by a search that keeps only the least partial orderings.
+
+`chromatic_polynomial` is a frontier sweep over the labelled graph.  It takes
+no canonical key and keeps no table, so the chromatic identity the
+convolution certifies is checked independently of the keys of its memos.
 """
 
 from __future__ import annotations
@@ -490,16 +494,6 @@ def canonical_graph(g: Graph) -> Graph:
     return _from_pair_mask(key[1], key[2])
 
 
-def connected_components(g: Graph) -> list[int]:
-    """The vertex masks of the connected components, by lowest vertex."""
-    comps = []
-    remaining = g.full_mask()
-    while remaining:
-        comps.append(g.component(remaining))
-        remaining &= ~comps[-1]
-    return comps
-
-
 def connected_graphs_upto(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on <= n
     vertices, by ascending vertex count.  A connected graph on k + 1 vertices
@@ -527,37 +521,38 @@ def connected_graphs_upto(n: int) -> list[Graph]:
 # -- chromatic polynomial and acyclic orientations --------------------------------
 
 
-_chromatic_cache: dict[tuple, QPoly] = {}
-
-
 def chromatic_polynomial(g: Graph) -> QPoly:
-    """Exact chromatic polynomial by deletion-contraction, memoised on the
-    canonical key of each connected graph; a disconnected graph is the
-    product over its components."""
-    if not g.is_connected():
-        result = QPoly.one()
-        for comp in connected_components(g):
-            result = result * chromatic_polynomial(subgraph(g, comp))
-        return result
-    key = canonical_key(g)
-    cached = _chromatic_cache.get(key)
-    if cached is not None:
-        return cached
-    if g.n == 1:
-        result = QPoly.q(1)
-    else:
-        u, v = min(g.edges)
-        rows = list(g.adj_mask)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        deleted = Graph._from_masks(g.n, tuple(rows))
-        # u < v: the block {u, v} takes u's place among the singletons
-        blocks = [1 << w for w in range(g.n) if w != v]
-        blocks[u] |= 1 << v
-        contracted = quotient(g, blocks)
-        result = chromatic_polynomial(deleted) - chromatic_polynomial(contracted)
-    _chromatic_cache[key] = result
-    return result
+    """Exact chromatic polynomial by a frontier sweep, with no canonical key.
+
+    The vertices are placed in maximum-cardinality-search order: next is the
+    vertex with the most placed neighbours.  The frontier is the placed
+    vertices that still have an unplaced neighbour.  A state is a partition
+    of the frontier into colour classes, a sorted tuple of masks, and its
+    value counts the colourings of the placed vertices that induce it.  A new
+    vertex joins a class holding none of its neighbours, or takes one of the
+    q - (number of classes) colours no class has.  Once every vertex is
+    placed the frontier is empty and one state is left; its value is chi."""
+    adj = g.adj_mask
+    # new_colour[k] = q - k, the colours held by none of k classes
+    new_colour = [QPoly({2: 1, 0: -k}) for k in range(g.n)]
+    unplaced = g.full_mask()
+    states = {(): QPoly.one()}
+    while unplaced:
+        v = max(_bits(unplaced), key=lambda u: (adj[u] & ~unplaced).bit_count())
+        bit = 1 << v
+        unplaced ^= bit
+        alive = _neighbourhood(g, unplaced) & ~unplaced
+        step: dict[tuple[int, ...], QPoly] = {}
+        for classes, value in states.items():
+            options = [(classes + (bit,), value * new_colour[len(classes)])]
+            for i, c in enumerate(classes):
+                if not c & adj[v]:
+                    options.append((classes[:i] + (c | bit,) + classes[i + 1 :], value))
+            for joined, count in options:
+                key = tuple(sorted(c & alive for c in joined if c & alive))
+                step[key] = step[key] + count if key in step else count
+        states = step
+    return states[()]
 
 
 def count_acyclic_orientations(g: Graph) -> int:

@@ -1,9 +1,12 @@
+import itertools
 import json
+import math
 import time
 from pathlib import Path
 
 import pytest
 
+from contractads import clear_caches
 from contractads.qpoly import QPoly
 from contractads.series import PowerSeries
 from contractads.cli import (
@@ -65,6 +68,56 @@ def test_chromatic(capsys):
     code, out, _ = run(capsys, "chromatic", "--graph", "P3")
     assert code == 0
     assert out.strip() == "q - 2*q^2 + q^3"
+
+
+def test_identity_failures_exit_one(capsys, monkeypatch):
+    # a chi that disagrees with the convolution fails every command that
+    # certifies it: exit 1 and a message, not a traceback
+    import contractads.graphic_functions as gf
+
+    monkeypatch.setattr(gf, "chromatic_polynomial", lambda g: QPoly.zero())
+    clear_caches()
+    for argv in (
+        ["chromatic", "--graph", "K3"],
+        ["hilbert", "--target", "gerst", "--graph", "K3"],
+        ["verify", "--suite", "chromatic", "--max-vertices", "3"],
+        ["verify", "--suite", "koszul", "--max-vertices", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("FAIL: contractad chromatic disagrees with the frontier sweep on Graph("), err
+
+
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _multipartite_chromatic(parts):
+    """chi of K_parts: each block splits into k_i non-empty colour classes, in
+    S(p_i, k_i) ways, and the k_1 + ... + k_r classes take distinct colours."""
+    q = QPoly.q()
+    total = QPoly.zero()
+    for ks in itertools.product(*(range(1, p + 1) for p in parts)):
+        term = QPoly.one()
+        for j in range(sum(ks)):
+            term = term * (q - j)
+        total = total + math.prod(_stirling2(p, k) for p, k in zip(parts, ks)) * term
+    return total
+
+
+def test_chromatic_and_gerst_past_the_canonical_cap(capsys):
+    # K[4,4,5] has 13 vertices: its chi is checked without a canonical key
+    chi = _multipartite_chromatic((4, 4, 5))
+    code, out, err = run(capsys, "chromatic", "--graph", "K[4,4,5]", "--json")
+    assert code == 0, err
+    assert qpoly_from_json(json.loads(out)) == chi
+    code, out, err = run(capsys, "hilbert", "--target", "gerst", "--graph", "K[4,4,5]", "--json")
+    assert code == 0, err
+    assert qpoly_from_json(json.loads(out)) == chi.reversed_q(13)
 
 
 def test_series_closed_vs_recurrence(capsys):

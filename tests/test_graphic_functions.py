@@ -464,9 +464,9 @@ def test_library_has_no_bare_assert():
 
 def test_library_keeps_no_module_level_containers():
     # every memo of the library is a functools cache, emptied by
-    # clear_caches(); only the two tables keyed by isomorphism class are dicts
+    # clear_caches(); only the canonical-key table, keyed by the graph, is a dict
     package = Path(__file__).resolve().parents[1] / "src" / "contractads"
-    allowed = {"_canonical_cache", "_chromatic_cache"}
+    allowed = {"_canonical_cache"}
 
     def empty(value):
         if isinstance(value, ast.Dict):

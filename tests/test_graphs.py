@@ -12,6 +12,7 @@ from contractads.graphs import (
     chromatic_polynomial,
     complete_graph,
     complete_multipartite_parts,
+    connected_graphs_upto,
     connected_subset_masks,
     contract,
     contract_tube,
@@ -322,9 +323,49 @@ def test_chromatic_on_every_labelled_graph():
 
 
 def test_chromatic_of_long_path():
-    # deleting an edge of P_30 leaves two paths, which need no canonical search
+    # the sweep's frontier along a path is one vertex
     q = QPoly.q()
     assert chromatic_polynomial(path_graph(30)) == q * (q - 1) ** 29
+
+
+def _deletion_contraction(g, memo):
+    """chi by deletion-contraction of the lowest edge, memoised in `memo` on
+    the labelled graph: an oracle for the frontier sweep that shares none
+    of its code."""
+    key = (g.n, g.adj_mask)
+    if key not in memo:
+        if not g.m:
+            memo[key] = QPoly.q(g.n)
+        else:
+            u, v = min(g.edges)
+            deleted = Graph(g.n, g.edges - {(u, v)})
+            contracted = contract(g, [{u, v}] + [{w} for w in range(g.n) if w not in (u, v)])
+            memo[key] = _deletion_contraction(deleted, memo) - _deletion_contraction(contracted, memo)
+    return memo[key]
+
+
+def test_chromatic_matches_deletion_contraction_on_every_class():
+    # every connected class with at most 7 vertices, and a relabelling of each
+    rng = random.Random(20261020)
+    memo = {}
+    classes = connected_graphs_upto(7)
+    assert len(classes) == 996
+    for g in classes:
+        h = relabel_graph(g, rng.sample(range(g.n), g.n))
+        assert chromatic_polynomial(g) == _deletion_contraction(g, memo), g
+        assert chromatic_polynomial(h) == _deletion_contraction(h, memo), h
+
+
+def test_chromatic_of_relabelled_path_and_large_complete_graph():
+    # the maximum-cardinality-search order keeps a relabelled path's frontier
+    # to at most its two ends; chi of K_14 is the falling factorial of length 14
+    q = QPoly.q()
+    perm = random.Random(30).sample(range(30), 30)
+    assert chromatic_polynomial(relabel_graph(path_graph(30), perm)) == q * (q - 1) ** 29
+    falling = QPoly.one()
+    for k in range(14):
+        falling = falling * (q - k)
+    assert chromatic_polynomial(complete_graph(14)) == falling
 
 
 def test_chromatic_examples():
