@@ -17,9 +17,11 @@ on the blocks, which `GraphicFunction.tube_table(G)` hands over (by popcount
 for a function of the vertex count, from the table that solved it for a
 star-inverse, through the memo otherwise).  An outer factor of the vertex
 count alone (`GraphicFunction.of_size`: 1, eps, 1_x, 1_q, 1_q^odd) sees only
-the number of blocks: its product is a subset recursion over vertex masks
-graded by block count, `_block_sums`, which builds no G/I.  `star_inverse`
-solves every f on the tubes of G, smallest first, and keeps the last table.
+the number of blocks: its product is a recursion graded by block count,
+`_block_sums`, which builds no G/I, over count vectors on the twin classes
+of G (`graphs.Twins`): polynomial on K_n, St_n and K_lambda, over vertex
+masks on a twin-free graph.  `star_inverse` solves every f on the tube
+codes of G, smallest first, and keeps the last table.
 Both wonderful series are 1 * starinv(phi).  As 1_x . (f * g) = (1_x . f) *
 (1_x . g), since x^(n-1) = x^(|I|-1) prod_B x^(|B|-1), gerst = 1 * (1_q . mu)
 is 1_q * mu reversed in degree n - 1, so chi = q * (1_q * mu) reversed in
@@ -46,6 +48,7 @@ from .graphs import (
     quotient,
     subgraph,
     tube_masks,
+    Twins,
 )
 
 class GraphicFunction:
@@ -116,36 +119,46 @@ class GraphicFunction:
         return GraphicFunction(f"({value})*{self.name}", lambda g: value * self._value(g))
 
 
-def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, table: dict):
-    """The list whose entry k is the sum over partitions of the vertex mask
-    `remaining` into k tubes of prod weight(B), or
-    None if every such product is zero.  Peels off the tube holding the lowest
-    vertex, memoised in `table` on the mask; a table starts as {0: [1]}."""
+def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, table: dict, twins: Twins | None = None):
+    """The list whose entry k is the sum over partitions of the code
+    `remaining` (see `Twins`) into k tubes of prod weight(B), or None if
+    every such product is zero; a table starts as {0: [1]}.  Peels off the
+    block holding the lowest vertex v, a first member: one per count vector
+    on a connected set of first members through v, times the blocks holding
+    v with those counts, the rest memoised in `table` on its code."""
     acc = table.get(remaining)
     if acc is not None:
         return acc
-    acc = [None] * (bin(remaining).count("1") + 1)
+    twins = twins or Twins(graph)
+    acc = [None] * (remaining.bit_count() + 1)
     lowest = (remaining & -remaining).bit_length() - 1
-    for block in connected_subset_masks(graph, remaining, lowest):
+    supports = connected_subset_masks(graph, remaining & twins.firsts, lowest)
+    grown = twins.prefixes and twins.blocks(supports, remaining, lowest)
+    for block in grown or supports:
         w = weight(block)
         if not w:
             continue
-        rest = remaining & ~block
-        for k, value in enumerate(table.get(rest) or _block_sums(graph, weight, rest, table), 1):
+        if grown:
+            rest, count = grown[block]
+            if count != 1:
+                w = w * count
+        else:
+            rest = remaining & ~block
+        for k, value in enumerate(table.get(rest) or _block_sums(graph, weight, rest, table, twins), 1):
             if value is not None:
                 acc[k] = w * value if acc[k] is None else acc[k] + w * value
     table[remaining] = acc
     return acc
 
 
-def _product(graph: Graph, outer: GraphicFunction, weight: Callable[[int], object], mask: int, table: dict):
+def _product(graph: Graph, outer: GraphicFunction, weight: Callable[[int], object], mask: int, table: dict, twins=None):
     """(outer * inner)(G|_mask), the sum over partitions I of the tube `mask`
     of outer(G|_mask / I) * prod_{B in I} weight(B), where (weight, table) is
     the inner factor's tube table at G.  A block whose weight is zero or None
     adds nothing.  An outer factor of the vertex count is graded by block
-    count over `_block_sums`; any other loops over the partitions."""
+    count over `_block_sums`, on codes; any other loops over the partitions."""
     if outer.size_rule is not None:
-        graded = _block_sums(graph, weight, mask, table)
+        graded = _block_sums(graph, weight, mask, table, twins)
         return sum((outer.size_rule(k) * value for k, value in enumerate(graded) if value is not None), 0)
     total = 0
     for blocks in _partition_masks(graph, mask):
@@ -173,11 +186,12 @@ def convolve(f: GraphicFunction, g: GraphicFunction) -> GraphicFunction:
 def star_inverse(f: GraphicFunction) -> GraphicFunction:
     """Two-sided inverse g of f under *; requires f(P_1) = 1.
 
-    Solved on every tube T of G, smallest first: (f * g)(T) = 0 once T has
-    two vertices, and in its sum the single block T, weighted by the unknown
-    g(T), is the only term not yet known, so g(T) is minus the rest.  The
-    tube table of g at G is `values.get`, mapping each tube mask to g on it,
-    and the `_block_sums` table over it.  The last table is kept, by labelled graph.
+    Solved on every tube code T of G (see `Twins`), smallest first: (f * g)(T)
+    = 0 once T has two vertices, and in its sum the single block T, weighted
+    by the unknown g(T), is the only term not yet known, so g(T) is minus the
+    rest.  The tube table of g at G maps any tube mask to g on its code, and
+    the `_block_sums` table over it, which reads the codes' values as they
+    are.  The last table is kept, by labelled graph.
     """
     if f(path_graph(1)) != 1:
         raise ValueError("star inverse needs f(P_1) = 1")
@@ -187,14 +201,19 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
         if kept is not None:
             return kept
         inverse._kept.clear()  # dropped before the next table is built, not after
-        values: dict[int, object] = {1 << v: 1 for v in range(graph.n)}
+        twins = Twins(graph)
+        values: dict[int, object] = {1 << v: 1 for v in range(graph.n) if twins.firsts >> v & 1}
         table: dict[int, list] = {0: [1]}
-        for tube in sorted((t for t in tube_masks(graph) if t not in values), key=int.bit_count):
-            values[tube] = -_product(graph, f, values.get, tube, table)
+        supports = tube_masks(graph, twins.firsts)
+        codes = twins.blocks(supports, graph.full_mask()) or supports
+        weight = (lambda tube: values.get(twins.canonical(tube))) if twins.prefixes else values.get
+        inner = values.get if f.size_rule is not None else weight
+        for tube in sorted((t for t in codes if t not in values), key=int.bit_count):
+            values[tube] = -_product(graph, f, inner, tube, table, twins)
             if tube in table:  # block sums at T, taken while g(T) was unknown
                 table[tube][1] = values[tube]
-        inverse._kept[graph.n, graph.adj_mask] = values.get, table
-        return values.get, table
+        inverse._kept[graph.n, graph.adj_mask] = weight, table
+        return weight, table
 
     inverse = GraphicFunction(f"starinv({f.name})", lambda graph: solve(graph)[0](graph.full_mask()))
     inverse.tube_table = solve

@@ -33,6 +33,7 @@ convolution certifies is checked independently of the keys of its memos.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 from .qpoly import QPoly
@@ -43,12 +44,16 @@ from .qpoly import QPoly
 CANONICAL_MAX_VERTICES = 12
 TREE_MAX_VERTICES = 8
 # bounds the verify suites over the classes, not their enumeration: Koszul
-# takes about a minute at 7 vertices, and 8 vertices have 11,117 classes
+# takes about 12 s at 7 vertices, and 8 vertices have 11,117 classes
 CLASS_ENUMERATION_MAX_VERTICES = 7
+# bounds the tube table over twin classes that are pairwise adjacent (see
+# `Twins`).  On 2 cores, Python 3.11, the complex series of K103 (5.97e9
+# steps) takes 23 s, of K[3,3,3,3,3,3] (5.83e9) 15 s; St60 (6.2e8) 0.2 s
+TWIN_TABLE_MAX_STEPS = 6 * 10**9
 # bound the series commands: the complete family's complex closed form takes
-# about 17 s at order 24, the Young series of the complex compactification
-# about a minute at degree 10; assembled from per-graph values, the complete
-# and star series take about 5 s at order 11 and over a minute at order 13
+# about 8 s at order 24, the Young series of the complex compactification
+# 0.5 s at degree 10; from per-graph values, every family takes under 0.1 s
+# at order 13 and the cycles about 5 s at order 24
 SERIES_MAX_ORDER = 24
 SERIES_RECURRENCE_MAX_ORDER = 11
 YOUNG_MAX_DEGREE = 10
@@ -245,10 +250,78 @@ def connected_subset_masks(g: Graph, within: int, containing: int) -> list[int]:
     return sorted(found)
 
 
-def tube_masks(g: Graph) -> list[int]:
-    """Every tube of g as a mask, each reached once, from its lowest vertex."""
-    full = g.full_mask()
-    return [t for v in range(g.n) for t in connected_subset_masks(g, full >> v << v, v)]
+def tube_masks(g: Graph, within: int | None = None) -> list[int]:
+    """Every tube of g inside the vertex mask `within` (all of g by default)
+    as a mask, each reached once, from its lowest vertex."""
+    within = g.full_mask() if within is None else within
+    return [t for v in _bits(within) for t in connected_subset_masks(g, within >> v << v, v)]
+
+
+class Twins:
+    """The twin classes of a graph, and the codes of vertex count vectors.
+
+    Twins have the same neighbours besides each other: false twins are not
+    adjacent, true twins are.  A class is a module, independent or a clique,
+    its members in increasing order, and permuting it is an automorphism.  A
+    count vector b is coded by the mask of the first b_i members of each
+    class i: a vertex mask is worth its code, of the same size, and on a
+    twin-free graph every mask is its own code.  When the classes are
+    pairwise adjacent (K_n, St_n, K_lambda), a table estimated above
+    TWIN_TABLE_MAX_STEPS steps is refused before it is built."""
+
+    __slots__ = ("firsts", "cliques", "prefixes")
+
+    def __init__(self, g: Graph):
+        adj = g.adj_mask
+        opened, closed = {}, {}
+        for v, row in enumerate(adj):
+            opened[row] = opened.get(row, 0) | 1 << v
+            closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+        self.firsts, self.cliques = g.full_mask(), 0  # first members: all, of a clique
+        self.prefixes: dict[int, list[int]] = {}  # first member of two or more -> codes of 0, 1, ... members
+        for members in itertools.chain(opened.values(), closed.values()):
+            if members & members - 1:
+                v = (members & -members).bit_length() - 1
+                self.firsts &= ~members | 1 << v
+                self.cliques |= bool(adj[v] & members) << v
+                self.prefixes[v] = [0] + [members & (2 << w) - 1 for w in _bits(members)]
+        if self.prefixes and all(adj[v] & self.firsts | 1 << v == self.firsts for v in _bits(self.firsts)):
+            sizes = [len(self.prefixes.get(v, (0, v))) - 1 for v in _bits(self.firsts)]
+            steps = g.n**3 * math.prod(math.comb(c + 2, 2) for c in sizes)
+            if steps > TWIN_TABLE_MAX_STEPS:
+                raise ValueError(
+                    f"the tube table of this graph takes about {steps:,} steps (n^3 times the product of "
+                    f"C(c + 2, 2) over its twin classes of c vertices), over the cap of {TWIN_TABLE_MAX_STEPS:,}"
+                )
+
+    def canonical(self, tube: int) -> int:
+        """The code of a vertex mask: one popcount per class of two or more."""
+        for prefix in self.prefixes.values():
+            tube = tube & ~prefix[-1] | prefix[(tube & prefix[-1]).bit_count()]
+        return tube
+
+    def blocks(self, supports: list[int], remaining: int, lowest: int = -1) -> dict[int, tuple[int, int]]:
+        """{code: (code of the rest of `remaining`, count of such tubes holding
+        `lowest`)} for the tubes within the code `remaining` that meet just the
+        classes of a support, a connected set of first members (of a single
+        class only if a clique or b = 1).  Empty when no class has two members
+        in `remaining`: each support is then its own block."""
+        growing = [(v, prefix) for v, prefix in self.prefixes.items() if remaining & prefix[2] == prefix[2]]
+        out: dict[int, tuple[int, int]] = {}
+        for support in supports if growing else ():
+            found = [(support, remaining & ~support, 1)]
+            for v, prefix in growing:
+                if support >> v & 1:
+                    r = (remaining & prefix[-1]).bit_count()
+                    most = 1 if support == 1 << v and not self.cliques >> v & 1 else r
+                    d = v == lowest  # the tubes hold lowest, one of the class's r
+                    found = [
+                        (block | prefix[b], rest & ~prefix[-1] | prefix[r - b], count * math.comb(r - d, b - d))
+                        for block, rest, count in found
+                        for b in range(1, most + 1)
+                    ]
+            out.update((block, (rest, count)) for block, rest, count in found)
+        return out
 
 
 def enumerate_tubes(g: Graph) -> list[frozenset[int]]:
@@ -502,7 +575,7 @@ def connected_graphs_upto(n: int) -> list[Graph]:
     if n > CLASS_ENUMERATION_MAX_VERTICES:
         raise ValueError(
             f"connected class enumeration is capped at {CLASS_ENUMERATION_MAX_VERTICES} vertices "
-            f"(got {n}); the Koszul suite takes about a minute at 7 vertices, and 8 vertices have 11,117 classes"
+            f"(got {n}); the Koszul suite takes about 12 s at 7 vertices, and 8 vertices have 11,117 classes"
         )
     if n < 1:
         return []

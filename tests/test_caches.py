@@ -84,7 +84,7 @@ def test_clear_caches_empties_what_functions_keep(monkeypatch):
     from contractads import graphic_functions as gf
 
     solved = []
-    monkeypatch.setattr(gf, "tube_masks", lambda graph: solved.append(graph) or graphs.tube_masks(graph))
+    monkeypatch.setattr(gf, "tube_masks", lambda graph, *within: solved.append(graph) or graphs.tube_masks(graph, *within))
     clear_caches()
     mu, one_q, g = mobius_gf(), one_q_gf(), complete_graph(5)
     mu.tube_table(g)

@@ -392,7 +392,7 @@ def test_cli_queries_of_one_graph_solve_mu_once(monkeypatch, capsys):
     g = _generic_graph(8, 13, seed=20261020)
     spec = f"n={g.n}: " + ", ".join(f"{u}-{v}" for u, v in sorted(g.edges))
     solved = []
-    monkeypatch.setattr(gf, "tube_masks", lambda graph: solved.append(graph) or tube_masks(graph))
+    monkeypatch.setattr(gf, "tube_masks", lambda graph, *within: solved.append(graph) or tube_masks(graph, *within))
     clear_caches()
     for command in (["hilbert", "--target", "gerst"], ["mobius"], ["chromatic"]):
         assert main([*command, "--graph", spec, "--json"]) == 0
