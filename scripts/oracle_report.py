@@ -6,8 +6,9 @@ Usage:
 
 For every isomorphism class of connected graphs up to the bound, reports the
 gcLie / gcHyper / gcGrav / gcAss counts next to the convolution-algebra
-dimensions, flagging the classes where the quadratic normal-monomial
-description fails to realise a basis (K_{3,3} and K_{2,2,2} at 6 vertices).
+dimensions, and flags any class where the normal-monomial counts miss the
+dimensions; the count of flagged classes ends the report (0 up to 6
+vertices) and sets the exit code.
 """
 
 from __future__ import annotations

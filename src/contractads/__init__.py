@@ -1,6 +1,6 @@
 """Exact Hilbert-series calculus for graph-indexed operadic structures.
 
-The building blocks: exact polynomials in q^(1/2) (:mod:`.qpoly`), one
+The building blocks: exact polynomials in q (:mod:`.qpoly`), one
 sparse core for every truncated series and the series engine on it
 (:mod:`.series`), graphs with tubes / partitions / contraction
 (:mod:`.graphs`), the convolution algebra of graphic functions

@@ -29,7 +29,6 @@ from .qpoly import QPoly
 from .series import PowerSeries
 from .graphs import (
     SERIES_MAX_ORDER,
-    SERIES_RECURRENCE_MAX_ORDER,
     TREE_MAX_VERTICES,
     YOUNG_MAX_DEGREE,
     Graph,
@@ -63,7 +62,7 @@ from .young import young_closed_form, young_compose, young_of_graphic
 
 
 def qpoly_to_json(p: QPoly) -> dict:
-    """Exponent (in q^(1/2) units) -> [numerator, denominator]."""
+    """Exponent (an even count of q^(1/2) units) -> [numerator, denominator]."""
     return {str(k): [c.numerator, c.denominator] for k, c in p.items()}
 
 
@@ -147,9 +146,7 @@ _HILBERT_TARGETS = {
 }
 
 
-def _emit_poly(p: QPoly, as_json: bool, integral_only: bool = False):
-    if integral_only:
-        p.assert_integral("CLI output")
+def _emit_poly(p: QPoly, as_json: bool):
     if as_json:
         print(json.dumps(qpoly_to_json(p)))
     else:
@@ -161,7 +158,7 @@ def cmd_hilbert(args) -> int:
     value = _HILBERT_TARGETS[args.target]()(g)
     if not isinstance(value, QPoly):
         value = QPoly.const(value)
-    _emit_poly(value, args.json, integral_only=args.target in ("complex", "hyper"))
+    _emit_poly(value, args.json)
     return 0
 
 
@@ -182,9 +179,8 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_series(args) -> int:
-    cap = SERIES_RECURRENCE_MAX_ORDER if args.from_recurrence else SERIES_MAX_ORDER
-    if not 1 <= args.order <= cap:
-        raise UsageError(f"--order must be between 1 and {cap}, got {args.order}")
+    if not 1 <= args.order <= SERIES_MAX_ORDER:
+        raise UsageError(f"--order must be between 1 and {SERIES_MAX_ORDER}, got {args.order}")
     if args.from_recurrence:
         fn = wonderful_complex_gf() if args.target == "complex" else wonderful_real_gf()
         s = family_series(fn, args.family, args.order).series

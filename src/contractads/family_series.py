@@ -121,10 +121,8 @@ def check_family_composition(
     """
     tag = _family_tag(family)
     lhs = family_series(convolve(f, g), tag, order).series
-    if tag == "P":
-        rhs = series_compose(family_series(f, "P", order).series, family_series(g, "P", order).series)
-    elif tag == "K":
-        rhs = series_compose(family_series(f, "K", order).series, family_series(g, "K", order).series)
+    if tag in ("P", "K"):
+        rhs = series_compose(family_series(f, tag, order).series, family_series(g, tag, order).series)
     elif tag == "C":
         fp1 = f(path_graph(1))
         fg = family_series(g, "P", order).series

@@ -73,11 +73,13 @@ class GraphicFunction:
 
     @classmethod
     def of_size(cls, name: str, rule: Callable[[int], object]) -> "GraphicFunction":
-        """G -> rule(number of vertices of G), with the rule kept, memoised, as `size_rule`."""
+        """G -> rule(number of vertices of G), with the rule kept, memoised, as
+        `size_rule`.  The vertex count is the key: no canonical key is taken."""
         fn = cls(name, lambda g: fn.size_rule(g.n))
         kept = fn._kept
         fn.size_rule = lambda n: kept[n] if n in kept else kept.setdefault(n, rule(n))
         fn.tube_table = lambda graph: (lambda tube: fn.size_rule(tube.bit_count()), {0: [1]})
+        fn._value = fn._evaluate
         return fn
 
     def tube_table(self, graph: Graph) -> tuple[Callable[[int], object], dict]:
@@ -333,7 +335,7 @@ def wonderful_complex_gf() -> GraphicFunction:
     base = convolve(one_gf(), star_inverse(GraphicFunction.of_size("phi", _complex_block_factor)))
 
     def evaluate(g: Graph):
-        value = _coeff(base._value(g)).assert_integral("wonderful complex value")
+        value = _coeff(base._value(g))
         deg = g.n - 2
         for k in range(0, deg + 1):
             if value.coeff_q(k) != value.coeff_q(deg - k):
@@ -351,14 +353,10 @@ def wonderful_real_gf() -> GraphicFunction:
 
     reads value * 1_q^odd = 1 (the weight is prod_B sqrt(q)^(|B| - 1)), so
     value = 1 * starinv(1_q^odd).  Only integer powers of q occur, as blocks
-    all odd force n = |I| mod 2; integrality is asserted.
+    all odd force n = |I| mod 2.
     """
     base = convolve(one_gf(), star_inverse(one_q_odd_gf()))
-
-    def evaluate(g: Graph):
-        return _coeff(base._value(g)).assert_integral("wonderful real value")
-
-    return GraphicFunction("wonderful_R", evaluate)
+    return GraphicFunction("wonderful_R", lambda g: _coeff(base._value(g)))
 
 
 @functools.cache

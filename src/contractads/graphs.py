@@ -50,12 +50,11 @@ CLASS_ENUMERATION_MAX_VERTICES = 7
 # `Twins`).  On 2 cores, Python 3.11, the complex series of K103 (5.97e9
 # steps) takes 23 s, of K[3,3,3,3,3,3] (5.83e9) 15 s; St60 (6.2e8) 0.2 s
 TWIN_TABLE_MAX_STEPS = 6 * 10**9
-# bound the series commands: the complete family's complex closed form takes
-# about 8 s at order 24, the Young series of the complex compactification
-# 0.5 s at degree 10; from per-graph values, every family takes under 0.1 s
-# at order 13 and the cycles about 5 s at order 24
+# bound the series commands, closed form and recurrence alike: at order 24
+# the complete family's complex closed form takes about 8 s and the cycles'
+# complex recurrence about 6 s, the Young series of the complex
+# compactification 0.5 s at degree 10
 SERIES_MAX_ORDER = 24
-SERIES_RECURRENCE_MAX_ORDER = 11
 YOUNG_MAX_DEGREE = 10
 
 

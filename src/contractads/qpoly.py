@@ -1,9 +1,10 @@
-"""Exact polynomials in q^(1/2) with rational coefficients.
+"""Exact polynomials in q with rational coefficients.
 
-Exponents are stored as non-negative integer counts of q^(1/2) units, so a
-term at key k means c * q^(k/2).  Doubling exponents keeps every operation in
-integer arithmetic; results that must lie in Q[q] are certified with
-:meth:`QPoly.assert_integral`.
+Exponents are stored as even counts of q^(1/2) units, so a term at key k
+means c * q^(k/2); the keys of :meth:`QPoly.items` and of the CLI's JSON are
+that wire format.  The constructor rejects an odd key, and sums, products,
+exact quotients and the q-substitutions never make one from even keys, so
+every QPoly lies in Q[q].
 
 A stored coefficient is an `int` when it is integral and otherwise a
 `Fraction` in lowest terms: never a Fraction with denominator 1, never a
@@ -35,8 +36,9 @@ def _exact(value) -> Scalar:
 
 
 class QPoly:
-    """Sparse polynomial in q^(1/2) over Q, zero coefficients never stored;
-    each coefficient is an int when integral, else a Fraction."""
+    """Sparse polynomial in q over Q, keyed by even counts of q^(1/2) units,
+    zero coefficients never stored; each coefficient is an int when
+    integral, else a Fraction."""
 
     __slots__ = ("_c",)
 
@@ -44,9 +46,9 @@ class QPoly:
         c: dict[int, Scalar] = {}
         if coeffs:
             for k, v in coeffs.items():
-                if not isinstance(k, int) or k < 0:
+                if not isinstance(k, int) or k < 0 or k % 2:
                     raise ValueError(
-                        f"exponent must be a non-negative count of q^(1/2) units, got {k!r}"
+                        f"exponent must be an even non-negative count of q^(1/2) units, got {k!r}"
                     )
                 f = _exact(v)
                 if f:
@@ -72,19 +74,10 @@ class QPoly:
         """q**power (integer power)."""
         return cls({2 * power: 1})
 
-    @classmethod
-    def sqrt_q(cls, halves: int = 1) -> "QPoly":
-        """q**(halves/2)."""
-        return cls({halves: 1})
-
     # -- inspection --------------------------------------------------------
 
     def items(self):
         return sorted(self._c.items())
-
-    def coeff(self, halves: int) -> Scalar:
-        """Coefficient of q^(halves/2)."""
-        return self._c.get(halves, 0)
 
     def coeff_q(self, power: int) -> Scalar:
         """Coefficient of q**power."""
@@ -95,17 +88,6 @@ class QPoly:
 
     def __bool__(self) -> bool:
         return bool(self._c)
-
-    def is_integral(self) -> bool:
-        """True when the polynomial lies in Q[q] (all exponents even)."""
-        return all(k % 2 == 0 for k in self._c)
-
-    def assert_integral(self, context: str = "") -> "QPoly":
-        if not self.is_integral():
-            raise AssertionError(
-                f"polynomial has a genuine q^(1/2) term{': ' + context if context else ''}: {self}"
-            )
-        return self
 
     def degree_halves(self) -> int:
         """Largest stored exponent in q^(1/2) units; -1 for the zero polynomial."""
@@ -217,20 +199,17 @@ class QPoly:
     # -- specialisation and division ---------------------------------------
 
     def substitute(self, value: Scalar) -> Scalar:
-        """Evaluate at q = value.  Requires integral exponents."""
-        self.assert_integral("substitute")
+        """Evaluate at q = value."""
         v = _exact(value)
         return _exact(sum(c * v ** (k // 2) for k, c in self._c.items()))
 
     def scale_q(self, factor: Scalar) -> "QPoly":
-        """Substitute q -> factor * q.  Requires integral exponents."""
-        self.assert_integral("scale_q")
+        """Substitute q -> factor * q."""
         f = _exact(factor)
         return QPoly({k: c * f ** (k // 2) for k, c in self._c.items()})
 
     def reversed_q(self, degree: int) -> "QPoly":
-        """q**degree * p(1/q) for p of q-degree <= degree (integral exponents)."""
-        self.assert_integral("reversed_q")
+        """q**degree * p(1/q) for p of q-degree <= degree."""
         out: dict[int, Scalar] = {}
         for k, c in self._c.items():
             nk = 2 * degree - k
@@ -274,9 +253,7 @@ class QPoly:
             return ""
         if halves == 2:
             return "q"
-        if halves % 2 == 0:
-            return f"q^{halves // 2}"
-        return f"q^({halves}/2)"
+        return f"q^{halves // 2}"
 
     def __str__(self) -> str:
         if not self._c:

@@ -190,7 +190,7 @@ class _SparseSeries:
 
     def scale(self, value):
         c = _coeff(value)
-        # Q[q^(1/2)] has no zero divisors, so only c = 0 empties a term
+        # Q[q] has no zero divisors, so only c = 0 empties a term
         return self._make(self.degree, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def divexact(self, divisor):

@@ -474,8 +474,6 @@ def gcgrav_normal_counts(g: Graph, order: Sequence[int] | None = None) -> list[i
     For graphs with at least two vertices, twice the total count must equal
     the total little-disks dimension (the defining check, asserted here).
     """
-    if order is None:
-        g = canonical_graph(g)
     counts = _normal_counts(g, "grav", order)[0]
     if g.n >= 2:
         total = sum(counts)

@@ -19,7 +19,6 @@ from contractads.cli import (
 )
 from contractads.graphs import (
     SERIES_MAX_ORDER,
-    SERIES_RECURRENCE_MAX_ORDER,
     YOUNG_MAX_DEGREE,
     canonical_key,
     complete_graph,
@@ -133,6 +132,24 @@ def test_series_closed_vs_recurrence(capsys):
     assert series_from_json(json.loads(out1)) == series_from_json(json.loads(out2))
 
 
+def test_series_closed_vs_recurrence_at_the_order_cap(capsys):
+    # both paths share one cap; the complete family's complex closed form and
+    # the cycles' complex recurrence take seconds there and are left out
+    order = str(SERIES_MAX_ORDER)
+    pairs = [
+        ("path", "complex"), ("path", "real"), ("cycle", "real"),
+        ("complete", "real"), ("star", "complex"), ("star", "real"),
+    ]
+    for family, target in pairs:
+        outs = []
+        for extra in ((), ("--from-recurrence",)):
+            argv = ("series", "--family", family, "--target", target, "--order", order, "--json", *extra)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, (family, target, extra)
+            outs.append(series_from_json(json.loads(out)))
+        assert outs[0] == outs[1], (family, target)
+
+
 def test_young_command(capsys):
     code, out, _ = run(capsys, "young", "--target", "chromatic", "--degree", "3", "--json")
     assert code == 0
@@ -225,9 +242,8 @@ def test_series_rejects_non_positive_order(capsys):
 def test_series_and_young_refuse_sizes_above_their_caps(capsys):
     # the caps admit the acceptance bounds (order 8, degree 6) and the bench's
     # series_young sizes (order 11, degree 7)
-    assert SERIES_MAX_ORDER >= 11 and YOUNG_MAX_DEGREE >= 7 and SERIES_RECURRENCE_MAX_ORDER >= 8
+    assert SERIES_MAX_ORDER >= 11 and YOUNG_MAX_DEGREE >= 7
     over_order, over_degree = str(SERIES_MAX_ORDER + 1), str(YOUNG_MAX_DEGREE + 1)
-    over_recurrence = str(SERIES_RECURRENCE_MAX_ORDER + 1)
     cases = [
         (("series", "--family", "complete", "--target", "complex", "--order", "40"), "--order"),
         (("series", "--family", "star", "--target", "real", "--order", over_order), "--order"),
@@ -236,11 +252,11 @@ def test_series_and_young_refuse_sizes_above_their_caps(capsys):
             "--order",
         ),
         (
-            ("series", "--family", "cycle", "--target", "complex", "--order", over_recurrence, "--from-recurrence"),
+            ("series", "--family", "cycle", "--target", "complex", "--order", over_order, "--from-recurrence"),
             "--order",
         ),
         (
-            ("series", "--family", "star", "--target", "real", "--order", over_recurrence, "--from-recurrence"),
+            ("series", "--family", "star", "--target", "real", "--order", over_order, "--from-recurrence"),
             "--order",
         ),
         (("young", "--target", "complex", "--degree", "12"), "--degree"),
@@ -274,7 +290,9 @@ def test_verify_refuses_class_enumeration_above_seven_vertices(capsys):
 
 
 def test_json_polynomial_roundtrip():
-    p = QPoly({0: 1, 2: -5, 3: 7})
+    p = QPoly({0: 1, 2: -5, 4: 7})
     assert qpoly_from_json(json.loads(json.dumps(qpoly_to_json(p)))) == p
+    with pytest.raises(ValueError):
+        qpoly_from_json({"3": [7, 1]})
     s = PowerSeries("t", 3, [QPoly.one(), QPoly.q(), QPoly.zero(), p])
     assert series_from_json(json.loads(json.dumps(series_to_json(s)))) == s

@@ -200,6 +200,16 @@ def test_outside_input_is_checked_for_connectivity():
             build()(two_components)
 
 
+def test_functions_of_the_vertex_count_past_the_canonical_cap():
+    # a generic graph on 14 vertices has no canonical key; n is the key here
+    g = Graph(14, [(i, i + 1) for i in range(13)] + [(0, 2), (1, 5), (3, 9), (7, 12)])
+    with pytest.raises(ValueError, match="capped"):
+        canonical_key(g)
+    assert unit_gf()(g) == 0
+    assert one_gf()(g) == 1
+    assert one_q_gf()(g) == QPoly.q(13)
+
+
 def test_wonderful_complex_values():
     wc = wonderful_complex_gf()
     assert wc(path_graph(1)) == QPoly.one()

@@ -100,7 +100,7 @@ def ref_wonderful_complex():
 
 
 def ref_wonderful_real():
-    return _ref_wonderful("wonderful_R", True, lambda g, blocks: QPoly.sqrt_q(g.n - len(blocks)))
+    return _ref_wonderful("wonderful_R", True, lambda g, blocks: QPoly.q((g.n - len(blocks)) // 2))
 
 
 def _named_functions():

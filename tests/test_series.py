@@ -240,7 +240,7 @@ class DenseSeries:
 def random_qpoly(rng):
     if rng.random() < 0.35:
         return QPoly.zero()
-    return QPoly({rng.randrange(5): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)})
+    return QPoly({2 * rng.randrange(5): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)})
 
 
 def random_unit(rng):

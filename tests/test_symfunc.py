@@ -260,7 +260,7 @@ class ReferenceSymFunc:
 def random_qpoly(rng):
     if rng.random() < 0.3:
         return QPoly.zero()
-    return QPoly({rng.randrange(4): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)})
+    return QPoly({2 * rng.randrange(4): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)})
 
 
 def random_pair(rng, nvars, max_degree):
