@@ -51,7 +51,7 @@ CLASS_ENUMERATION_MAX_VERTICES = 7
 # steps) takes 23 s, of K[3,3,3,3,3,3] (5.83e9) 15 s; St60 (6.2e8) 0.2 s
 TWIN_TABLE_MAX_STEPS = 6 * 10**9
 # bound the series commands, closed form and recurrence alike: at order 24
-# the complete family's complex closed form takes about 8 s and the cycles'
+# the complete family's complex closed form takes about 1.2 s and the cycles'
 # complex recurrence about 6 s, the Young series of the complex
 # compactification 0.5 s at degree 10
 SERIES_MAX_ORDER = 24

@@ -11,12 +11,13 @@ series in (t, z)) in :mod:`.young`, and SymFunc (keys lambda, truncated by
 length) in :mod:`.symfunc`.  Binary operations truncate at the smaller
 degree, so precision loss is explicit and monotone.
 
-The series engine below (composition, reversion, powers and the exp / log1p
-/ pow_param / scaled-arcsinh expansions) is written once against the core:
-besides +, -, * and scale(scalar) it uses the truncation `bound` (the total
-degree), truncate(bound), constant_term(), const(value) and variable() (the
-series value and z of the same shape and bound), and z_slices(): {n: the
-z-free series multiplying z^n}, for a PowerSeries the constant series c_n.
+The series engine below (composition, reversion by Newton iteration, and the
+exp / log1p / pow_param / scaled-arcsinh expansions) is written once against
+the core: besides +, -, * and scale(scalar) it uses the truncation `bound`
+(the total degree), truncate(bound) and lift(bound) (to a smaller or larger
+bound), constant_term(), const(value) and variable() (the series value and z
+of the same shape and bound), and z_slices(): {n: the z-free series
+multiplying z^n}, for a PowerSeries the constant series c_n.
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ class _SparseSeries:
 
     def truncate(self, degree: int):
         return self if degree >= self.degree else self._make(degree, self._upto(degree))
+
+    def lift(self, degree: int):
+        """The same terms at a bound of at least self's, the new terms zero."""
+        return self._make(max(degree, self.degree), self.terms)
 
     def z_slices(self) -> dict:
         slices: dict[int, dict] = {}
@@ -304,24 +309,15 @@ class PowerSeries(_SparseSeries):
 # -- the series engine (interface in the module docstring) --------------------
 
 
-def series_powers(f, kmax: int) -> list:
-    """[1, f, f^2, ..., f^kmax]."""
-    out = [f.const(1)]
-    for _ in range(kmax):
-        out.append(out[-1] * f)
-    return out
-
-
 def power_combination(g, slices: dict, what: str = "a power combination"):
     """sum_n slices[n] * g^n for z-free series slices[n].  g must have zero
     constant term, so that the powers beyond the truncation bound vanish."""
     if not g.constant_term().is_zero():
         raise ValueError(f"{what} needs zero constant term")
-    acc = g.const(0)
-    powers = series_powers(g, max(slices, default=0))
-    for n, s in slices.items():
-        acc = acc + s * powers[n]
-    return acc
+    powers = [g.const(1)]
+    for _ in range(max(slices, default=0)):
+        powers.append(powers[-1] * g)
+    return sum((s * powers[n] for n, s in slices.items()), g.const(0))
 
 
 def series_compose(f, g):
@@ -333,15 +329,19 @@ def series_compose(f, g):
 
 
 def series_reverse(f):
-    """Compositional inverse in z of f = z + (degree >= 2); verified on both
-    sides."""
+    """Compositional inverse in z of f = z + (degree >= 2), verified on both
+    sides.  Newton iteration from g = z: g <- g - (f o g - z) g' takes g exact
+    through degree p to exact through 2p, as g' equals 1/f'(g) below degree
+    p (f'(g) g' = 1 at the inverse) and f o g - z starts at degree p + 1."""
     z = f.variable()
     if f.bound < 1 or f.truncate(1) != z.truncate(1):
         raise ValueError("reversion requires the degree-1 part to be exactly z; normalise first")
-    higher = f - z
-    g = z
-    for _ in range(f.bound):
-        g = z - series_compose(higher, g)
+    g = z.truncate(1)
+    while g.bound < f.bound:
+        zp = z.truncate(2 * g.bound)
+        g = g.lift(zp.bound)
+        dg = power_combination(zp, {n - 1: s.scale(n) for n, s in g.z_slices().items() if n})
+        g = g - (series_compose(f, g) - zp) * dg
     if series_compose(f, g) != z or series_compose(g, f) != z:
         raise AssertionError("internal reversion check failed")
     return g

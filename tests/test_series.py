@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import contractads.series as series_module
+from contractads.family_series import complete_complex_inverse
+from contractads.graphic_functions import one_gf
 from contractads.qpoly import QPoly
 from contractads.series import (
     PowerSeries,
@@ -13,6 +17,13 @@ from contractads.series import (
     series_compose,
     series_reverse,
     series_transcendental,
+)
+from contractads.young import (
+    BiSeries,
+    two_color_specialize,
+    young_closed_form,
+    young_of_graphic,
+    young_reverse,
 )
 
 
@@ -95,6 +106,57 @@ def test_reverse_trivial():
 def test_reverse_requires_unit_linear_term():
     with pytest.raises(ValueError):
         series_reverse(poly_series(4, [0, 2]))
+
+
+def fixed_point_reverse(f):
+    """The reversion series_reverse ran before Newton iteration: `bound`
+    rounds of g <- z - (f - z) o g, each exact one degree further.  Kept only
+    as the oracle of the test below."""
+    z = f.variable()
+    higher = f - z
+    g = z
+    for _ in range(f.bound):
+        g = z - series_compose(higher, g)
+    return g
+
+
+def _reversion_cases():
+    """(name, series, the library's reversion of it) for PowerSeries,
+    YoungSeries and BiSeries."""
+    for n in range(1, 14):  # bounds that are not powers of two included
+        yield f"K inverse {n}", complete_complex_inverse(n), series_reverse
+    yield "t - t^2", poly_series(9, [0, 1, -1]), series_reverse
+    yield "log1p(t)", log1p_series(PowerSeries.identity("t", 10)), series_reverse
+    for d in range(1, 7):
+        yield f"modular G {d}", young_closed_form("modular_complex_G", d), young_reverse
+        yield f"F_Y(1) {d}", young_of_graphic(one_gf(), d), young_reverse
+    for d in range(1, 8):
+        G = two_color_specialize(young_closed_form("modular_complex_G", d))
+        yield f"two-colour G {d}", G, BiSeries.reverse_z
+
+
+def test_newton_reversion_matches_the_fixed_point_loop():
+    # the outputs must be equal term for term, at the same bound
+    for name, f, reverse in _reversion_cases():
+        got, expected = reverse(f), fixed_point_reverse(f)
+        assert type(got) is type(expected), name
+        assert (got.bound, got.terms) == (expected.bound, expected.terms), name
+
+
+def test_reversion_composes_logarithmically_often(monkeypatch):
+    # five Newton rounds (bounds 2, 4, 8, 16, 24) and the two-sided check;
+    # the fixed-point loop made 24 + 2
+    calls = []
+
+    def counting_compose(f, g):
+        calls.append(g.bound)
+        return series_compose(f, g)
+
+    monkeypatch.setattr(series_module, "series_compose", counting_compose)
+    g = series_reverse(poly_series(24, [0, 1, -1]))
+    catalan = [0] + [comb(2 * n, n) // (n + 1) for n in range(24)]
+    assert [c.constant_term() for c in g.coeffs] == catalan
+    assert len(calls) <= 7, calls
 
 
 def test_exp_log_inverse():
