@@ -48,10 +48,10 @@ TREE_MAX_VERTICES = 8
 CLASS_ENUMERATION_MAX_VERTICES = 7
 # bounds the tube table over twin classes that are pairwise adjacent (see
 # `Twins`).  On 2 cores, Python 3.11, the complex series of K103 (5.97e9
-# steps) takes 23 s, of K[3,3,3,3,3,3] (5.83e9) 15 s; St60 (6.2e8) 0.2 s
+# steps) takes 23 s, of K[3,3,3,3,3,3] (5.83e9) 15 s; St150 (1.56e9) 5 s
 TWIN_TABLE_MAX_STEPS = 6 * 10**9
 # bound the series commands, closed form and recurrence alike: at order 24
-# the complete family's complex closed form takes about 1.2 s and the cycles'
+# the complete family's complex closed form takes about 0.3 s and the cycles'
 # complex recurrence about 6 s, the Young series of the complex
 # compactification 0.5 s at degree 10
 SERIES_MAX_ORDER = 24
@@ -256,6 +256,16 @@ def tube_masks(g: Graph, within: int | None = None) -> list[int]:
     return [t for v in _bits(within) for t in connected_subset_masks(g, within >> v << v, v)]
 
 
+def _twin_classes(adj: Sequence[int]) -> list[int]:
+    """The vertex masks of the twin classes of two or more members: false
+    twins share their row of `adj`, true twins their row with themselves."""
+    opened, closed = {}, {}
+    for v, row in enumerate(adj):
+        opened[row] = opened.get(row, 0) | 1 << v
+        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+    return [members for members in itertools.chain(opened.values(), closed.values()) if members & members - 1]
+
+
 class Twins:
     """The twin classes of a graph, and the codes of vertex count vectors.
 
@@ -272,25 +282,25 @@ class Twins:
 
     def __init__(self, g: Graph):
         adj = g.adj_mask
-        opened, closed = {}, {}
-        for v, row in enumerate(adj):
-            opened[row] = opened.get(row, 0) | 1 << v
-            closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
         self.firsts, self.cliques = g.full_mask(), 0  # first members: all, of a clique
         self.prefixes: dict[int, list[int]] = {}  # first member of two or more -> codes of 0, 1, ... members
-        for members in itertools.chain(opened.values(), closed.values()):
-            if members & members - 1:
-                v = (members & -members).bit_length() - 1
-                self.firsts &= ~members | 1 << v
-                self.cliques |= bool(adj[v] & members) << v
-                self.prefixes[v] = [0] + [members & (2 << w) - 1 for w in _bits(members)]
+        for members in _twin_classes(adj):
+            v = (members & -members).bit_length() - 1
+            self.firsts &= ~members | 1 << v
+            self.cliques |= bool(adj[v] & members) << v
+            self.prefixes[v] = [0] + [members & (2 << w) - 1 for w in _bits(members)]
         if self.prefixes and all(adj[v] & self.firsts | 1 << v == self.firsts for v in _bits(self.firsts)):
-            sizes = [len(self.prefixes.get(v, (0, v))) - 1 for v in _bits(self.firsts)]
-            steps = g.n**3 * math.prod(math.comb(c + 2, 2) for c in sizes)
+            steps = g.n**3
+            for v in _bits(self.firsts):
+                c = len(self.prefixes.get(v, (0, v))) - 1
+                # the leaves of a star share a block with the core alone
+                leaves = adj[v].bit_count() == 1 and not self.cliques >> v & 1
+                steps *= c + 1 if leaves else math.comb(c + 2, 2)
             if steps > TWIN_TABLE_MAX_STEPS:
                 raise ValueError(
                     f"the tube table of this graph takes about {steps:,} steps (n^3 times the product of "
-                    f"C(c + 2, 2) over its twin classes of c vertices), over the cap of {TWIN_TABLE_MAX_STEPS:,}"
+                    f"C(c + 2, 2) over its twin classes of c vertices, c + 1 over a star's leaves), "
+                    f"over the cap of {TWIN_TABLE_MAX_STEPS:,}"
                 )
 
     def canonical(self, tube: int) -> int:
@@ -596,23 +606,32 @@ def connected_graphs_upto(n: int) -> list[Graph]:
 def chromatic_polynomial(g: Graph) -> QPoly:
     """Exact chromatic polynomial by a frontier sweep, with no canonical key.
 
-    The vertices are placed in maximum-cardinality-search order: next is the
-    vertex with the most placed neighbours.  The frontier is the placed
-    vertices that still have an unplaced neighbour.  A state is a partition
-    of the frontier into colour classes, a sorted tuple of masks, and its
-    value counts the colourings of the placed vertices that induce it.  A new
-    vertex joins a class holding none of its neighbours, or takes one of the
-    q - (number of classes) colours no class has.  Once every vertex is
-    placed the frontier is empty and one state is left; its value is chi."""
+    The frontier is the placed vertices that still have an unplaced
+    neighbour.  The next vertex placed is one with a placed twin (same
+    neighbours besides each other) when there is one, so that a twin class
+    is placed in one run and K[n,n] keeps the partitions of one side on the
+    frontier rather than of both; then one with the most placed neighbours,
+    as in maximum-cardinality search; then one of the highest degree, so
+    that a star starts at its core.  A state is a partition of the frontier
+    into colour classes, a sorted tuple of masks, and its value counts the
+    colourings of the placed vertices that induce it.  A new vertex joins a
+    class holding none of its neighbours, or takes one of the q - (number of
+    classes) colours no class has.  Once every vertex is placed the frontier
+    is empty and one state is left; its value is chi."""
     adj = g.adj_mask
+    twins = [0] * g.n  # v -> its twin class, when that has two or more members
+    for members in _twin_classes(adj):
+        for v in _bits(members):
+            twins[v] = members
     # new_colour[k] = q - k, the colours held by none of k classes
     new_colour = [QPoly({2: 1, 0: -k}) for k in range(g.n)]
-    unplaced = g.full_mask()
+    unplaced, ready = g.full_mask(), 0  # ready: the vertices with a placed twin
     states = {(): QPoly.one()}
     while unplaced:
-        v = max(_bits(unplaced), key=lambda u: (adj[u] & ~unplaced).bit_count())
+        v = max(_bits(unplaced), key=lambda u: (ready >> u & 1, (adj[u] & ~unplaced).bit_count(), adj[u].bit_count()))
         bit = 1 << v
         unplaced ^= bit
+        ready |= twins[v]
         alive = _neighbourhood(g, unplaced) & ~unplaced
         step: dict[tuple[int, ...], QPoly] = {}
         for classes, value in states.items():

@@ -6,11 +6,11 @@ that wire format.  The constructor rejects an odd key, and sums, products,
 exact quotients and the q-substitutions never make one from even keys, so
 every QPoly lies in Q[q].
 
-A stored coefficient is an `int` when it is integral and otherwise a
-`Fraction` in lowest terms: never a Fraction with denominator 1, never a
-float.  The values the library certifies are integer polynomials, so their
-products and sums run on ints and pay for no gcd.  No floating point is used
-anywhere.
+A QPoly holds int numerators over one common denominator d >= 1 in lowest
+terms (d = 1 for zero): sums work over the lcm of the denominators, products
+over d1 * d2, and a result with d != 1 is reduced by one gcd.  Every reader
+returns a coefficient as an `int` when it is integral, else a `Fraction` in
+lowest terms.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _exact(value) -> Scalar:
-    """value as a stored coefficient: an int when integral, else a Fraction."""
+    """value as an exact scalar: an int when integral, else a Fraction."""
     if isinstance(value, int):
         return int(value)
     if isinstance(value, Fraction):
@@ -36,14 +36,14 @@ def _exact(value) -> Scalar:
 
 
 class QPoly:
-    """Sparse polynomial in q over Q, keyed by even counts of q^(1/2) units,
-    zero coefficients never stored; each coefficient is an int when
-    integral, else a Fraction."""
+    """Sparse polynomial in q over Q, keyed by even counts of q^(1/2) units:
+    nonzero integer numerators `_c` over one denominator `_d`, in lowest
+    terms; zero coefficients are never stored."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Scalar] = {}
+        c, d = {}, 1
         if coeffs:
             for k, v in coeffs.items():
                 if not isinstance(k, int) or k < 0 or k % 2:
@@ -53,7 +53,23 @@ class QPoly:
                 f = _exact(v)
                 if f:
                     c[k] = f
-        self._c = c
+                    if type(f) is not int:
+                        d = math.lcm(d, f.denominator)
+        if d != 1:  # the lcm of denominators in lowest terms leaves no common factor
+            c = {k: f.numerator * (d // f.denominator) for k, f in c.items()}
+        self._c, self._d = c, d
+
+    @staticmethod
+    def _reduced(c: dict[int, int], d: int) -> "QPoly":
+        """The QPoly c / d for an int d >= 1, in lowest terms."""
+        if d != 1:
+            g = math.gcd(d, *c.values())
+            if g != 1:
+                c = {k: v // g for k, v in c.items()}
+                d //= g
+        out = QPoly.__new__(QPoly)
+        out._c, out._d = c, d
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -76,12 +92,15 @@ class QPoly:
 
     # -- inspection --------------------------------------------------------
 
+    def _value(self, numerator: int) -> Scalar:
+        return numerator if self._d == 1 else _exact(Fraction(numerator, self._d))
+
     def items(self):
-        return sorted(self._c.items())
+        return sorted((k, self._value(v)) for k, v in self._c.items())
 
     def coeff_q(self, power: int) -> Scalar:
         """Coefficient of q**power."""
-        return self._c.get(2 * power, 0)
+        return self._value(self._c.get(2 * power, 0))
 
     def is_zero(self) -> bool:
         return not self._c
@@ -94,7 +113,7 @@ class QPoly:
         return max(self._c) if self._c else -1
 
     def constant_term(self) -> Scalar:
-        return self._c.get(0, 0)
+        return self.coeff_q(0)
 
     def as_fraction(self) -> Scalar:
         """The value of a constant polynomial."""
@@ -109,29 +128,37 @@ class QPoly:
         if isinstance(other, QPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return QPoly.const(other)
+            return QPoly._reduced({0: other.numerator} if other else {}, other.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is QPoly else self._coerce(other)
         if o is None:
             return NotImplemented
-        c = dict(self._c)
-        for k, v in o._c.items():
+        d, oc = self._d, o._c
+        if d == o._d:
+            c = dict(self._c)
+        else:  # both over the lcm of the two denominators
+            g = math.gcd(d, o._d)
+            m, om = o._d // g, d // g
+            c, oc, d = {k: v * m for k, v in self._c.items()}, {k: v * om for k, v in oc.items()}, d * m
+        for k, v in oc.items():
             s = c.get(k, 0) + v
             if s:
-                c[k] = s if type(s) is int else _exact(s)
+                c[k] = s
             else:
                 c.pop(k, None)
+        if d != 1:
+            return QPoly._reduced(c, d)
         out = QPoly.__new__(QPoly)
-        out._c = c
+        out._c, out._d = c, 1
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
         out = QPoly.__new__(QPoly)
-        out._c = {k: -v for k, v in self._c.items()}
+        out._c, out._d = {k: -v for k, v in self._c.items()}, self._d
         return out
 
     def __sub__(self, other):
@@ -148,16 +175,16 @@ class QPoly:
 
     def __mul__(self, other):
         if type(other) is int:
-            # an int scales each coefficient; a nonzero one leaves none zero
+            # (n / g) * c / (d / g) for g = gcd(d, n) is in lowest terms
+            g = 1 if self._d == 1 else math.gcd(self._d, other)
+            m = other // g
             out = QPoly.__new__(QPoly)
-            out._c = {
-                k: v * other if type(v) is int else _exact(v * other) for k, v in self._c.items() if other
-            }
+            out._c, out._d = {k: v * m for k, v in self._c.items()} if m else {}, self._d // g
             return out
-        o = self._coerce(other)
+        o = other if type(other) is QPoly else self._coerce(other)
         if o is None:
             return NotImplemented
-        c: dict[int, Scalar] = {}
+        c: dict[int, int] = {}
         for k1, v1 in self._c.items():
             for k2, v2 in o._c.items():
                 k = k1 + k2
@@ -166,11 +193,11 @@ class QPoly:
                     c[k] = s
                 else:
                     c.pop(k, None)
-        for k, v in c.items():
-            if type(v) is not int:
-                c[k] = _exact(v)
+        d = self._d * o._d
+        if d != 1:
+            return QPoly._reduced(c, d)
         out = QPoly.__new__(QPoly)
-        out._c = c
+        out._c, out._d = c, 1
         return out
 
     __rmul__ = __mul__
@@ -188,35 +215,35 @@ class QPoly:
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is QPoly else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._c == o._c
+        return self._d == o._d and self._c == o._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash(frozenset(self.items()))
 
     # -- specialisation and division ---------------------------------------
 
     def substitute(self, value: Scalar) -> Scalar:
         """Evaluate at q = value."""
         v = _exact(value)
-        return _exact(sum(c * v ** (k // 2) for k, c in self._c.items()))
+        return _exact(Fraction(sum(c * v ** (k // 2) for k, c in self._c.items()), self._d))
 
     def scale_q(self, factor: Scalar) -> "QPoly":
         """Substitute q -> factor * q."""
         f = _exact(factor)
-        return QPoly({k: c * f ** (k // 2) for k, c in self._c.items()})
+        return QPoly({k: c * f ** (k // 2) for k, c in self.items()})
 
     def reversed_q(self, degree: int) -> "QPoly":
         """q**degree * p(1/q) for p of q-degree <= degree."""
-        out: dict[int, Scalar] = {}
+        out: dict[int, int] = {}
         for k, c in self._c.items():
             nk = 2 * degree - k
             if nk < 0:
                 raise ValueError(f"degree {degree} too small to reverse {self}")
             out[nk] = c
-        return QPoly(out)
+        return QPoly._reduced(out, self._d)
 
     def divexact(self, divisor: "QPoly | Scalar") -> "QPoly":
         """Exact division; raises ExactDivisionError on a nonzero remainder."""
@@ -225,17 +252,19 @@ class QPoly:
             raise TypeError("divisor must be a QPoly or rational")
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self._c)
         dd = d.degree_halves()
         lead = d._c[dd]
-        quot: dict[int, Scalar] = {}
+        # pseudo-division: |lead|^(m+1) * A = Q * B + R has integer Q and R
+        # for A of q-degree m + dd/2, so every step divides exactly by lead
+        scale = abs(lead) ** max(0, (self.degree_halves() - dd) // 2 + 1)
+        rem = {k: v * scale for k, v in self._c.items()}
+        quot: dict[int, int] = {}
         while rem:
             rd = max(rem)
             if rd < dd:
                 raise ExactDivisionError(f"({self}) is not divisible by ({d})")
             qk = rd - dd
-            qc = _exact(Fraction(rem[rd], lead))  # int / int would be a float
-            quot[qk] = qc
+            qc = quot[qk] = rem[rd] // lead
             for k, v in d._c.items():
                 nk = k + qk
                 s = rem.get(nk, 0) - qc * v
@@ -243,7 +272,8 @@ class QPoly:
                     rem[nk] = s
                 else:
                     rem.pop(nk, None)
-        return QPoly(quot)
+        # (A / a) / (B / b) = Q * b / (a * |lead|^(m+1))
+        return QPoly._reduced({k: v * d._d for k, v in quot.items()}, self._d * scale)
 
     # -- display -----------------------------------------------------------
 

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -366,6 +368,27 @@ def test_chromatic_of_relabelled_path_and_large_complete_graph():
     for k in range(14):
         falling = falling * (q - k)
     assert chromatic_polynomial(complete_graph(14)) == falling
+
+
+def test_chromatic_of_complete_bipartite_graphs():
+    # chi(K[m, n]) = sum_k S(m, k) q (q - 1) ... (q - k + 1) (q - k)^n: the
+    # k colours of the first side, the rest for the second.  Twins are placed
+    # in one run, which keeps K[8, 8] to a fraction of a second; K[11, 1] is
+    # a star whose leaves are numbered first, and its core must still come
+    # first (eleven leaves on the frontier would be Bell(11) states)
+    q = QPoly.q()
+
+    def stirling2(m, k):
+        return sum((-1) ** (k - j) * math.comb(k, j) * j**m for j in range(k + 1)) // math.factorial(k)
+
+    for m, n in [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3), (8, 8), (11, 1)]:
+        want, falling = QPoly.zero(), QPoly.one()
+        for k in range(1, m + 1):
+            falling = falling * (q - (k - 1))
+            want = want + stirling2(m, k) * falling * (q - k) ** n
+        start = time.perf_counter()
+        assert chromatic_polynomial(multipartite_graph((m, n))) == want, (m, n)
+        assert time.perf_counter() - start < 3, (m, n)
 
 
 def test_chromatic_examples():

@@ -338,3 +338,91 @@ def test_matches_the_all_fraction_ring():
         for n in (0, 1, -2, 3):
             _agree(lambda: a * n, lambda: ra * n)
             _agree(lambda: n * a, lambda: n * ra)
+
+
+# -- one common denominator: differential cases ------------------------------------
+
+
+def _pair(coeffs):
+    return QPoly(coeffs), FractionQPoly(coeffs)
+
+
+def test_mixed_denominators_match_the_all_fraction_ring():
+    F = Fraction
+    cases = [
+        ({0: F(1, 6)}, {0: F(1, 10)}),  # 1/6 + 1/10 = 4/15 over the lcm 30
+        ({0: F(1, 4)}, {0: F(1, 4)}),  # 1/4 - 1/4 = 0
+        ({0: F(-1, 3), 2: F(5, 6)}, {2: F(3, 4), 4: -2}),
+        ({2: F(-7, 2)}, {0: F(-2, 3), 2: F(1, 9)}),
+        ({0: F(2, 3), 2: F(4, 3)}, {0: F(3, 2)}),  # the product's 6 cancels to 1
+        ({0: F(1, 2), 2: F(1, 2)}, {0: -2, 2: 2}),  # q^2 - 1
+        ({0: 5, 4: -3}, {0: F(-5, 12), 2: F(7, 12)}),
+    ]
+    for x, y in cases:
+        (a, ra), (b, rb) = _pair(x), _pair(y)
+        for op, ref in [
+            (lambda: a + b, lambda: ra + rb),
+            (lambda: a - b, lambda: ra - rb),
+            (lambda: b - a, lambda: rb - ra),
+            (lambda: a * b, lambda: ra * rb),
+            (lambda: -a, lambda: -ra),
+            (lambda: a**3, lambda: ra**3),
+            (lambda: (a * b).divexact(a), lambda: (ra * rb).divexact(ra)),
+            (lambda: (a * b).divexact(b), lambda: (ra * rb).divexact(rb)),
+            (lambda: a.divexact(b), lambda: ra.divexact(rb)),
+            (lambda: a.substitute(Fraction(-3, 2)), lambda: ra.substitute(Fraction(-3, 2))),
+            (lambda: a.scale_q(Fraction(2, 3)), lambda: ra.scale_q(Fraction(2, 3))),
+            (lambda: a.reversed_q(2), lambda: ra.reversed_q(2)),
+        ]:
+            _agree(op, ref)
+        # an int scale by a multiple of each denominator, by a negative and by 0
+        for n in (12, 30, -36, 7, -1, 0):
+            _agree(lambda: a * n, lambda: ra * n)
+            _agree(lambda: n * b, lambda: n * rb)
+
+
+def test_divexact_with_fractional_quotients():
+    F = Fraction
+    q = QPoly.q()
+    for x, y in [
+        ({0: 1, 2: 1}, {0: 2, 2: 2}),  # 1/2
+        ({0: -1, 4: 1}, {0: 3, 2: 3}),  # (q - 1) / 3
+        ({0: F(1, 3), 2: F(1, 2)}, {0: F(1, 2), 2: F(3, 4)}),  # 2/3
+        ({0: -1, 4: 1}, {0: 2, 2: -2}),  # a negative leading coefficient: -(q + 1) / 2
+        ({0: 1, 6: 1}, {0: F(1, 5), 2: F(1, 5)}),  # 5 (q^2 - q + 1)
+        ({0: 1, 4: 1}, {0: 2, 2: 2}),  # q^2 + 1 has a remainder
+        ({0: F(1, 7), 2: 3, 4: F(-2, 9)}, {0: F(5, 2), 2: 4, 4: F(-3, 8), 6: 6}),  # lower degree
+    ]:
+        (a, ra), (b, rb) = _pair(x), _pair(y)
+        _agree(lambda: a.divexact(b), lambda: ra.divexact(rb))
+        _agree(lambda: (a * b).divexact(b), lambda: (ra * rb).divexact(rb))
+    assert (q**2 - 1).divexact(2 * q + 2) == QPoly({0: F(-1, 2), 2: F(1, 2)})
+
+
+def test_arithmetic_and_the_constructor_give_equal_equal_hashing_polynomials():
+    F = Fraction
+    built = [
+        (QPoly({0: F(1, 6)}) + QPoly({0: F(1, 10)}), QPoly({0: F(4, 15)})),
+        (QPoly({0: F(1, 4)}) - QPoly({0: F(1, 4)}), QPoly()),
+        (QPoly({0: F(2, 3), 2: F(4, 3)}) * F(3, 2), QPoly({0: 1, 2: 2})),
+        (QPoly({2: F(1, 6), 0: F(5, 6)}) * 12, QPoly({0: 10, 2: 2})),
+        (QPoly({0: F(1, 3)}) * QPoly({2: F(-3, 5), 4: F(9, 10)}), QPoly({2: F(-1, 5), 4: F(3, 10)})),
+        ((QPoly.q() * 3 - 3).divexact(QPoly({0: -2, 2: 2})), QPoly.const(F(3, 2))),
+    ]
+    for got, want in built:
+        assert got == want and hash(got) == hash(want), (got, want)
+    assert built[1][0] == 0 and built[0][0] != QPoly({0: F(8, 30)}) + QPoly({0: F(1, 30)})
+    assert QPoly({0: F(4, 15)}) == F(4, 15) and hash(QPoly({0: F(1, 2)})) == hash(frozenset({(0, F(1, 2))}))
+
+
+def test_an_integral_result_reports_int_coefficients():
+    F = Fraction
+    for p in (
+        QPoly({0: F(1, 3), 2: F(1, 2)}) + QPoly({0: F(2, 3), 2: F(5, 2)}),
+        QPoly({0: F(1, 2), 4: F(-3, 4)}) * 4,
+        QPoly({0: F(1, 2), 2: F(1, 2)}) * QPoly({0: -2, 2: 2}),
+        QPoly({0: F(5, 2), 2: F(5, 2)}).divexact(F(5, 6)),
+    ):
+        assert all(type(c) is int for _, c in p.items()), p
+        assert type(p.constant_term()) is int and type(p.substitute(2)) is int
+    assert (QPoly({0: F(1, 2), 4: F(-3, 4)}) * 4).items() == [(0, 2), (4, -3)]

@@ -202,3 +202,15 @@ def test_twin_table_over_its_cap_is_refused_before_any_table(capsys):
     assert time.perf_counter() - start < 1
     assert f"{TWIN_TABLE_MAX_STEPS:,}" in capsys.readouterr().err
 
+
+
+def test_the_estimate_counts_a_stars_leaves_once_each():
+    # St_n's tube table grows like n^4 (n + 1 leaf counts), not n^5: St150 and
+    # St200 are built; the K_lambda estimate, K[1, 200] = St200 aside, is unchanged
+    for n in (150, 200):
+        Twins(star_graph(n))
+        Twins(multipartite_graph((1, n)))
+    with pytest.raises(ValueError, match=f"{251**3 * 251 * 3:,}"):
+        Twins(star_graph(250))
+    with pytest.raises(ValueError, match=f"{202**3 * math.comb(4, 2) * math.comb(202, 2):,}"):
+        Twins(multipartite_graph((2, 200)))
