@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .qpoly import QPoly
-from .series import PowerSeries
+from .series import PowerSeries, _coeff
 from .graphs import (
     SERIES_MAX_ORDER,
     TREE_MAX_VERTICES,
@@ -155,10 +155,7 @@ def _emit_poly(p: QPoly, as_json: bool):
 
 def cmd_hilbert(args) -> int:
     g = _graph_from_args(args)
-    value = _HILBERT_TARGETS[args.target]()(g)
-    if not isinstance(value, QPoly):
-        value = QPoly.const(value)
-    _emit_poly(value, args.json)
+    _emit_poly(_coeff(_HILBERT_TARGETS[args.target]()(g)), args.json)
     return 0
 
 

@@ -23,6 +23,7 @@ from math import factorial
 from .qpoly import QPoly
 from .series import (
     PowerSeries,
+    _coeff,
     exp_series,
     log1p_series,
     pow_param_series,
@@ -91,10 +92,7 @@ def family_series(f: GraphicFunction, family: str, order: int) -> FamilySeries:
     terms: dict[int, QPoly] = {}
     start = 0 if tag == "St" else 1
     for n in range(start, order + 1):
-        value = f(_family_member(tag, n))
-        if not isinstance(value, QPoly):
-            value = QPoly.const(value)
-        terms[n] = value * _weight(tag, n)
+        terms[n] = _coeff(f(_family_member(tag, n))) * _weight(tag, n)
     return FamilySeries(tag, PowerSeries.from_terms("t", order, terms))
 
 

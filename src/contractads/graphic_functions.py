@@ -19,9 +19,9 @@ star-inverse, through the memo otherwise).  An outer factor of the vertex
 count alone (`GraphicFunction.of_size`: 1, eps, 1_x, 1_q, 1_q^odd) sees only
 the number of blocks: its product is a recursion graded by block count,
 `_block_sums`, which builds no G/I, over count vectors on the twin classes
-of G (`graphs.Twins`): polynomial on K_n, St_n and K_lambda, over vertex
-masks on a twin-free graph.  `star_inverse` solves every f on the tube
-codes of G, smallest first, and keeps the last table.
+of G (`graphs.Twins`): polynomial on K_n, St_n and K_lambda, and on a
+twin-free graph every code is its own vertex mask.  `star_inverse` solves
+every f on the tube codes of G, smallest first, and keeps the last table.
 Both wonderful series are 1 * starinv(phi).  As 1_x . (f * g) = (1_x . f) *
 (1_x . g), since x^(n-1) = x^(|I|-1) prod_B x^(|B|-1), gerst = 1 * (1_q . mu)
 is 1_q * mu reversed in degree n - 1, so chi = q * (1_q * mu) reversed in
@@ -127,7 +127,8 @@ def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, t
     every such product is zero; a table starts as {0: [1]}.  Peels off the
     block holding the lowest vertex v, a first member: one per count vector
     on a connected set of first members through v, times the blocks holding
-    v with those counts, the rest memoised in `table` on its code."""
+    v with those counts (`Twins.blocks`: one, the support, if G is twin-free),
+    the rest memoised in `table` on its code."""
     acc = table.get(remaining)
     if acc is not None:
         return acc
@@ -135,17 +136,12 @@ def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, t
     acc = [None] * (remaining.bit_count() + 1)
     lowest = (remaining & -remaining).bit_length() - 1
     supports = connected_subset_masks(graph, remaining & twins.firsts, lowest)
-    grown = twins.prefixes and twins.blocks(supports, remaining, lowest)
-    for block in grown or supports:
+    for block, (rest, count) in twins.blocks(supports, remaining, lowest).items():
         w = weight(block)
         if not w:
             continue
-        if grown:
-            rest, count = grown[block]
-            if count != 1:
-                w = w * count
-        else:
-            rest = remaining & ~block
+        if count != 1:
+            w = w * count
         for k, value in enumerate(table.get(rest) or _block_sums(graph, weight, rest, table, twins), 1):
             if value is not None:
                 acc[k] = w * value if acc[k] is None else acc[k] + w * value
@@ -191,9 +187,9 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
     Solved on every tube code T of G (see `Twins`), smallest first: (f * g)(T)
     = 0 once T has two vertices, and in its sum the single block T, weighted
     by the unknown g(T), is the only term not yet known, so g(T) is minus the
-    rest.  The tube table of g at G maps any tube mask to g on its code, and
-    the `_block_sums` table over it, which reads the codes' values as they
-    are.  The last table is kept, by labelled graph.
+    rest.  The tube table of g at G maps a tube mask to g on its code (on a
+    twin-free graph, the mask) and the `_block_sums` table over it reads the
+    codes' values as they are.  The last table is kept, by labelled graph.
     """
     if f(path_graph(1)) != 1:
         raise ValueError("star inverse needs f(P_1) = 1")
@@ -206,9 +202,8 @@ def star_inverse(f: GraphicFunction) -> GraphicFunction:
         twins = Twins(graph)
         values: dict[int, object] = {1 << v: 1 for v in range(graph.n) if twins.firsts >> v & 1}
         table: dict[int, list] = {0: [1]}
-        supports = tube_masks(graph, twins.firsts)
-        codes = twins.blocks(supports, graph.full_mask()) or supports
-        weight = (lambda tube: values.get(twins.canonical(tube))) if twins.prefixes else values.get
+        codes = twins.blocks(tube_masks(graph, twins.firsts), graph.full_mask())
+        weight = lambda tube: values.get(twins.canonical(tube))
         inner = values.get if f.size_rule is not None else weight
         for tube in sorted((t for t in codes if t not in values), key=int.bit_count):
             values[tube] = -_product(graph, f, inner, tube, table, twins)

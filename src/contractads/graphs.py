@@ -274,9 +274,10 @@ class Twins:
     its members in increasing order, and permuting it is an automorphism.  A
     count vector b is coded by the mask of the first b_i members of each
     class i: a vertex mask is worth its code, of the same size, and on a
-    twin-free graph every mask is its own code.  When the classes are
-    pairwise adjacent (K_n, St_n, K_lambda), a table estimated above
-    TWIN_TABLE_MAX_STEPS steps is refused before it is built."""
+    twin-free graph every mask is its own code.  The tube table recurses on
+    codes alone.  When the classes are pairwise adjacent (K_n, St_n,
+    K_lambda), a table estimated above TWIN_TABLE_MAX_STEPS steps is refused
+    before it is built."""
 
     __slots__ = ("firsts", "cliques", "prefixes")
 
@@ -313,23 +314,19 @@ class Twins:
         """{code: (code of the rest of `remaining`, count of such tubes holding
         `lowest`)} for the tubes within the code `remaining` that meet just the
         classes of a support, a connected set of first members (of a single
-        class only if a clique or b = 1).  Empty when no class has two members
-        in `remaining`: each support is then its own block."""
-        growing = [(v, prefix) for v, prefix in self.prefixes.items() if remaining & prefix[2] == prefix[2]]
-        out: dict[int, tuple[int, int]] = {}
-        for support in supports if growing else ():
-            found = [(support, remaining & ~support, 1)]
-            for v, prefix in growing:
-                if support >> v & 1:
-                    r = (remaining & prefix[-1]).bit_count()
-                    most = 1 if support == 1 << v and not self.cliques >> v & 1 else r
-                    d = v == lowest  # the tubes hold lowest, one of the class's r
-                    found = [
-                        (block | prefix[b], rest & ~prefix[-1] | prefix[r - b], count * math.comb(r - d, b - d))
-                        for block, rest, count in found
-                        for b in range(1, most + 1)
-                    ]
-            out.update((block, (rest, count)) for block, rest, count in found)
+        class only if a clique or b = 1).  Each support starts as its own
+        block, counted once, and each class with two members in `remaining`
+        grows the blocks through its first member: on a twin-free graph none
+        does, and the blocks are the supports."""
+        out = {support: (remaining & ~support, 1) for support in supports}
+        for v, prefix in self.prefixes.items():
+            if remaining & prefix[2] == prefix[2]:
+                r = (remaining & prefix[-1]).bit_count()
+                d = v == lowest  # the tubes hold lowest, one of the class's r
+                for block, (rest, count) in [item for item in out.items() if item[0] >> v & 1]:
+                    most = 1 if block == 1 << v and not self.cliques >> v & 1 else r
+                    for b in range(1, most + 1):
+                        out[block | prefix[b]] = rest & ~prefix[-1] | prefix[r - b], count * math.comb(r - d, b - d)
         return out
 
 

@@ -234,6 +234,8 @@ class PowerSeries(_SparseSeries):
         """The series t (or z)."""
         return cls.from_terms(var, order, {1: 1})
 
+    z = identity  # the core's z(degree) has no variable
+
     @classmethod
     def from_terms(cls, var: str, order: int, terms: dict[int, QPoly | Scalar]) -> "PowerSeries":
         return cls(var, order, [terms.get(n, 0) for n in range(order + 1)])

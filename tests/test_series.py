@@ -209,6 +209,13 @@ def test_transcendental_dispatcher():
         series_transcendental("pow_param", t)
 
 
+def test_z_is_the_variable():
+    # the sparse core's z(degree) would call PowerSeries(degree, terms)
+    z = PowerSeries.z("t", 4)
+    assert z == PowerSeries.identity("t", 4)
+    assert z.var == "t" and z.order == 4
+
+
 def test_order_mixing_takes_minimum():
     a = poly_series(6, [0, 1])
     b = poly_series(3, [1, 1])

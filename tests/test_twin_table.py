@@ -23,8 +23,10 @@ from contractads.graphs import (
     Graph,
     Twins,
     _bits,
+    canonical_key,
     complete_graph,
     connected_subset_masks,
+    cycle_graph,
     multipartite_graph,
     path_graph,
     relabel_graph,
@@ -164,10 +166,21 @@ def test_twin_classes():
     assert twins.canonical(0b10100101) == 0b01100011 and twins.canonical(0b10100000) == 0b01100000
 
 
-def test_block_counts_add_up_to_the_tubes():
+def test_block_counts_add_up_to_the_tubes(graphs_upto_6):
     # through each first member v, the counts of the blocks on the tube codes
     # add up to the tubes of G that hold v and meet no class before v's
-    for g in TWIN_GRAPHS + _relabelled(TWIN_GRAPHS):
+    twin_free = [g for g in graphs_upto_6 if not Twins(g).prefixes]
+    keys = {canonical_key(g) for g in twin_free}
+    assert all(canonical_key(g) in keys for g in (path_graph(5), cycle_graph(5), cycle_graph(6)))
+    twin_free += _relabelled(twin_free)
+    for g in twin_free:
+        # every support is its own block, counted once, within any code
+        twins = Twins(g)
+        for remaining in [g.full_mask()] + tube_masks(g):
+            lowest = (remaining & -remaining).bit_length() - 1
+            supports = connected_subset_masks(g, remaining, lowest)
+            assert twins.blocks(supports, remaining, lowest) == {s: (remaining & ~s, 1) for s in supports}, g
+    for g in TWIN_GRAPHS + _relabelled(TWIN_GRAPHS) + twin_free:
         twins = Twins(g)
         full = g.full_mask()
         for v in _bits(twins.firsts):
