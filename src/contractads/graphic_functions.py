@@ -20,8 +20,10 @@ count alone (`GraphicFunction.of_size`: 1, eps, 1_x, 1_q, 1_q^odd) sees only
 the number of blocks: its product is a recursion graded by block count,
 `_block_sums`, which builds no G/I, over count vectors on the twin classes
 of G (`graphs.Twins`): polynomial on K_n, St_n and K_lambda, and on a
-twin-free graph every code is its own vertex mask.  `star_inverse` solves
-every f on the tube codes of G, smallest first, and keeps the last table.
+twin-free graph every code is its own vertex mask.  Any other outer factor
+takes one walk over the partitions of T and evaluates f once per labelled
+quotient G|_T / I.  `star_inverse` solves every f on the tube codes of G,
+smallest first, and keeps the last table.
 Both wonderful series are 1 * starinv(phi).  As 1_x . (f * g) = (1_x . f) *
 (1_x . g), since x^(n-1) = x^(|I|-1) prod_B x^(|B|-1), gerst = 1 * (1_q . mu)
 is 1_q * mu reversed in degree n - 1, so chi = q * (1_q * mu) reversed in
@@ -42,8 +44,9 @@ from .graphs import (
     Graph,
     canonical_key,
     chromatic_polynomial,
-    _partition_masks,
     connected_subset_masks,
+    _joined,
+    _neighbourhood,
     path_graph,
     quotient,
     subgraph,
@@ -152,23 +155,32 @@ def _block_sums(graph: Graph, weight: Callable[[int], object], remaining: int, t
 def _product(graph: Graph, outer: GraphicFunction, weight: Callable[[int], object], mask: int, table: dict, twins=None):
     """(outer * inner)(G|_mask), the sum over partitions I of the tube `mask`
     of outer(G|_mask / I) * prod_{B in I} weight(B), where (weight, table) is
-    the inner factor's tube table at G.  A block whose weight is zero or None
-    adds nothing.  An outer factor of the vertex count is graded by block
-    count over `_block_sums`, on codes; any other loops over the partitions."""
+    the inner factor's tube table at G.  An outer factor of the vertex count
+    is graded by block count over `_block_sums`, on codes.  Any other takes one
+    walk that peels the block holding the lowest vertex and carries the inner
+    product and the rows of G|_mask / I (`_joined`); a block of zero or None
+    weight prunes all below it, and outer is taken once per labelled quotient."""
     if outer.size_rule is not None:
         graded = _block_sums(graph, weight, mask, table, twins)
         return sum((outer.size_rule(k) * value for k, value in enumerate(graded) if value is not None), 0)
-    total = 0
-    for blocks in _partition_masks(graph, mask):
-        term = 1
-        for block in blocks:
+    sums, first, reach = {}, {}, {}  # rows of G|_mask / I -> inner sum, first I; block -> neighbourhood
+
+    def walk(remaining: int, blocks: tuple, rows: tuple, term):
+        for block in connected_subset_masks(graph, remaining, (remaining & -remaining).bit_length() - 1):
             w = weight(block)
             if not w:
-                break
-            term = term * w
-        else:
-            total = total + outer._value(quotient(graph, blocks)) * term
-    return total
+                continue
+            near = reach.get(block) or reach.setdefault(block, _neighbourhood(graph, block))
+            row = rows + (_joined(near, blocks),)
+            if block != remaining:
+                walk(remaining & ~block, blocks + (block,), row, term * w)
+            elif row in sums:
+                sums[row] = sums[row] + term * w
+            else:
+                sums[row], first[row] = term * w, blocks + (block,)
+
+    walk(mask, (), (), 1)
+    return sum((outer._value(quotient(graph, first[row])) * value for row, value in sums.items()), 0)
 
 
 def convolve(f: GraphicFunction, g: GraphicFunction) -> GraphicFunction:

@@ -15,9 +15,11 @@ edge deletions, canonical representatives) is built from masks by
 
 On the computational path a vertex set is a bitmask and a graph partition is
 a tuple of block masks ordered by lowest vertex.  `graph_partitions` is the
-one partition enumerator and `quotient` the one construction of both the
-contraction G/I and the induced subgraph G|_B.  `contract`, `contract_tube`
-and `induced_subgraph` take vertex sets from outside and validate them.
+one partition enumerator and `quotient` builds both the contraction G/I and
+the induced subgraph G|_B by the one adjacency rule, `_joined`, with which
+the convolution's walk over the partitions keys G/I block by block.
+`contract`, `contract_tube` and `induced_subgraph` take vertex sets from
+outside and validate them.
 
 Canonical keys make isomorphic graphs share memo entries.  Complete
 multipartite graphs, paths and cycles are recognised structurally and get
@@ -363,15 +365,17 @@ def quotient(g: Graph, blocks: Sequence[int]) -> Graph:
     yields it, this is the contraction G/I; on the singletons of a vertex set
     it is the induced subgraph.  The blocks are not validated.
     """
-    k = len(blocks)
-    rows = [0] * k
+    return Graph._from_masks(len(blocks), tuple([_joined(_neighbourhood(g, b) & ~b, blocks) for b in blocks]))
+
+
+def _joined(reach: int, blocks: Sequence[int]) -> int:
+    """The adjacency rule of `quotient`: the indices, as a mask, of the
+    blocks that meet `reach`, the neighbourhood of a block."""
+    row = 0
     for i, b in enumerate(blocks):
-        reach = _neighbourhood(g, b)
-        for j in range(i + 1, k):
-            if reach & blocks[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph._from_masks(k, tuple(rows))
+        if reach & b:
+            row |= 1 << i
+    return row
 
 
 def subgraph(g: Graph, mask: int) -> Graph:

@@ -22,6 +22,7 @@ multiplying z^n}, for a PowerSeries the constant series c_n.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import factorial
 from operator import add
@@ -170,15 +171,21 @@ class _SparseSeries:
     def __sub__(self, other):
         return self + (-other)
 
+    def _room(self, key: tuple, d: int) -> int:
+        """The most weight a term may have beside `key` in a product within degree d."""
+        return d - self._weight(key)
+
     def _mul(self, other):
         """The truncated product, summed over the monomials `_product` gives
-        for each pair of terms."""
+        for each pair of terms.  The right terms are sorted by weight, and
+        each left key stops at the first right key past its `_room`."""
         self._check(other)
         d = min(self.degree, other.degree)
-        right = other._upto(d).items()
+        right = sorted(other._upto(d).items(), key=lambda item: self._weight(item[0]))
+        weights = [self._weight(k2) for k2, _ in right]
         acc: dict[tuple, QPoly] = {}
         for k1, a in self._upto(d).items():
-            for k2, b in right:
+            for k2, b in right[: bisect_right(weights, self._room(k1, d))]:
                 monomials = self._product(k1, k2, d)
                 if not monomials:
                     continue

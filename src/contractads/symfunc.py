@@ -126,6 +126,7 @@ class SymFunc(_SparseSeries):
     __slots__ = ()
     _ONE: Partition = ()
     _weight = staticmethod(len)
+    _room = staticmethod(lambda lam, nvars: nvars)  # lengths do not add under m_lam * m_mu
 
     @staticmethod
     def _key(*parts: int) -> Partition:

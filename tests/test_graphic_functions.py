@@ -359,7 +359,9 @@ def test_size_functions_skip_the_quotient(monkeypatch):
         raise AssertionError("G/I or G|_B built for an outer factor of the vertex count")
 
     clear_caches()  # no value may come from an earlier memo
-    monkeypatch.setattr(gf, "quotient", refuse)
+    # the walk over the partitions keys each G/I by its blocks' neighbourhoods
+    for name in ("_neighbourhood", "_joined", "quotient"):
+        monkeypatch.setattr(gf, name, refuse)
     g = complete_graph(6)
     assert convolve(one_gf(), unit_gf())(g) == 1
     assert convolve(one_param_gf(2), one_gf())(path_graph(4)) == 27  # (1 + 2)^3
@@ -375,7 +377,7 @@ def test_size_functions_skip_the_quotient(monkeypatch):
     chromatic_base = convolve(one_q_gf(), mobius_gf())
     values = [(wonderful_complex_gf()(h), wonderful_real_gf()(h), chromatic_base(h)) for h in graphs]
     monkeypatch.undo()
-    # the functional equations, through the partition loop
+    # the functional equations, through the walk over the partitions
     complex_pairing = convolve(wonderful_complex_gf(), GraphicFunction.of_size("phi", _complex_block_factor))
     real_pairing = convolve(wonderful_real_gf(), one_q_odd_gf())
     for h, (complex_value, real_value, chromatic_value) in zip(graphs, values):

@@ -6,7 +6,7 @@ import pytest
 
 import contractads.series as series_module
 from contractads.family_series import complete_complex_inverse
-from contractads.graphic_functions import one_gf
+from contractads.graphic_functions import one_gf, wonderful_complex_gf
 from contractads.qpoly import QPoly
 from contractads.series import (
     PowerSeries,
@@ -18,10 +18,13 @@ from contractads.series import (
     series_reverse,
     series_transcendental,
 )
+from contractads.symfunc import SymFunc, partitions_upto
 from contractads.young import (
     BiSeries,
+    YoungSeries,
     two_color_specialize,
     young_closed_form,
+    young_compose,
     young_of_graphic,
     young_reverse,
 )
@@ -394,3 +397,91 @@ def test_variable_mismatch():
             t * z
         with pytest.raises(ValueError):
             z - t
+
+
+def all_pairs_mul(a, b):
+    """The sparse product loop before it stopped at the bound, kept as the
+    reference: `_product` is asked about every pair of terms."""
+    a._check(b)
+    d = min(a.degree, b.degree)
+    right = b._upto(d).items()
+    acc = {}
+    for k1, x in a._upto(d).items():
+        for k2, y in right:
+            monomials = a._product(k1, k2, d)
+            if not monomials:
+                continue
+            xy = x * y
+            for key, c in monomials:
+                term = xy if c == 1 else xy * c
+                if key in acc:
+                    term = acc[key] + term
+                    if term.is_zero():
+                        del acc[key]
+                        continue
+                acc[key] = term
+    return a._make(d, acc)
+
+
+def _random_sparse(rng, make, keys):
+    """A series of `make(terms)` on a random subset of `keys`, inserted in a
+    random order, so that the right operand's terms are not sorted by weight."""
+    keys = rng.sample(keys, rng.randint(0, len(keys)))
+    return make({key: random_qpoly(rng) for key in keys})
+
+
+def _sparse_operands(rng):
+    """Pairs of operands of each ring of the sparse core, at mixed bounds."""
+    for d1, d2 in [(7, 7), (5, 8), (8, 3), (0, 4)]:
+        power = lambda d: lambda terms: PowerSeries.from_terms("t", d, {n: c for (n,), c in terms.items()})
+        yield _random_sparse(rng, power(d1), [(n,) for n in range(d1 + 1)]), _random_sparse(
+            rng, power(d2), [(n,) for n in range(d2 + 1)]
+        )
+        if min(d1, d2) < 1:
+            continue
+        young = [(n, lam) for lam in partitions_upto(max(d1, d2)) for n in range(max(d1, d2) + 1 - sum(lam))]
+        yield _random_sparse(rng, lambda t: YoungSeries(d1, t), young), _random_sparse(
+            rng, lambda t: YoungSeries(d2, t), young
+        )
+        bi = [(i, j) for i in range(max(d1, d2) + 1) for j in range(max(d1, d2) + 1 - i)]
+        yield _random_sparse(rng, lambda t: BiSeries(d1, t), bi), _random_sparse(rng, lambda t: BiSeries(d2, t), bi)
+        nvars = min(d1, 4)
+        lams = [lam for lam in partitions_upto(6) if len(lam) <= nvars]
+        yield _random_sparse(rng, lambda t: SymFunc(nvars, t), lams), _random_sparse(
+            rng, lambda t: SymFunc(nvars, t), lams
+        )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_product_matches_the_all_pairs_loop(seed):
+    # term for term, in each ring: PowerSeries, YoungSeries and BiSeries stop
+    # at d - weight, SymFunc (truncated by length, which does not add) at d
+    rng = random.Random(f"series:bounded-product:{seed}")
+    rings = set()
+    for a, b in _sparse_operands(rng):
+        got, want = a * b, all_pairs_mul(a, b)
+        assert type(got) is type(want) and got.degree == want.degree
+        assert got.terms == want.terms, (type(a).__name__, a.terms, b.terms)
+        rings.add(type(a))
+    assert rings == {PowerSeries, YoungSeries, BiSeries, SymFunc}
+
+
+def test_young_compose_asks_for_few_products_past_the_bound(monkeypatch):
+    # G o F at degree 7, as the series_young benchmark composes it: most
+    # pairs of terms are past the bound, and the loop no longer asks about them
+    G = young_closed_form("modular_complex_G", 7)
+    F = young_of_graphic(wonderful_complex_gf(), 7)
+    product, calls = YoungSeries._product, []
+
+    def counted(k1, k2, d):
+        calls.append(1)
+        return product(k1, k2, d)
+
+    monkeypatch.setattr(YoungSeries, "_product", staticmethod(counted))
+    got = young_compose(G, F)
+    bounded = len(calls)
+    monkeypatch.setattr(YoungSeries, "__mul__", all_pairs_mul)
+    calls.clear()
+    want = young_compose(G, F)
+    assert got == want and got.terms == want.terms
+    assert bounded <= 0.2 * len(calls), (bounded, len(calls))
